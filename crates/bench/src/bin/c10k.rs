@@ -16,7 +16,7 @@
 //!   the batching figure of merit for the poller.
 //!
 //! Flags: `--smoke` (fewer peers/rounds for CI), `--json <path>`
-//! (result rows; defaults to `BENCH_c10k.json`), `--assert-budget
+//! (result rows; written only when a path is given), `--assert-budget
 //! <msgs/s>` (fail unless the largest reactor run sustains the given
 //! violation rate).
 
@@ -294,8 +294,9 @@ mod linux {
             );
         }
 
-        let path = arg_value("--json").unwrap_or_else(|| "BENCH_c10k.json".to_string());
-        std::fs::write(&path, bench_rows_to_json(&rows)).expect("write benchmark rows");
-        eprintln!("benchmark rows written to {path}");
+        if let Some(path) = arg_value("--json") {
+            std::fs::write(&path, bench_rows_to_json(&rows)).expect("write benchmark rows");
+            eprintln!("benchmark rows written to {path}");
+        }
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! Flags: `--smoke` (fewer iterations for CI), `--assert-budget-ns <N>`
 //! (fail if the delta exceeds the budget), `--json <path>` (result
-//! rows; defaults to `BENCH_recorder.json`).
+//! rows; written only when a path is given).
 
 use std::time::Instant;
 
@@ -105,9 +105,10 @@ fn main() {
         .metric("recorder_delta_ns", delta_ns)
         .metric("probe_disabled_ns", off_ns)
         .metric("direct_record_event_ns", direct_ns)];
-    let path = arg_value("--json").unwrap_or_else(|| "BENCH_recorder.json".to_string());
-    std::fs::write(&path, bench_rows_to_json(&rows)).expect("write benchmark rows");
-    eprintln!("benchmark rows written to {path}");
+    if let Some(path) = arg_value("--json") {
+        std::fs::write(&path, bench_rows_to_json(&rows)).expect("write benchmark rows");
+        eprintln!("benchmark rows written to {path}");
+    }
 
     if let Some(budget) = arg_value("--assert-budget-ns").and_then(|v| v.parse::<f64>().ok()) {
         assert!(

@@ -23,7 +23,7 @@
 //! (fail if the incremental run's mean wall-clock per violation exceeds
 //! the budget), `--assert-flat-pct <N>` (fail if the incremental
 //! per-violation wall cost varies more than N% across the sweep),
-//! `--json <path>` (result rows; defaults to `BENCH_scale.json`).
+//! `--json <path>` (result rows; written only when a path is given).
 //!
 //! `--domains <D>` additionally runs the *federated* weak-scaling
 //! sweep: domains grow 1 → D with 25 managed hosts per domain (full
@@ -540,9 +540,10 @@ fn main() {
         fed_sweep(domains, smoke, budget_us, &mut rows);
     }
 
-    let path = arg_value("--json").unwrap_or_else(|| "BENCH_scale.json".to_string());
-    std::fs::write(&path, bench_rows_to_json(&rows)).expect("write benchmark rows");
-    eprintln!("benchmark rows written to {path}");
+    if let Some(path) = arg_value("--json") {
+        std::fs::write(&path, bench_rows_to_json(&rows)).expect("write benchmark rows");
+        eprintln!("benchmark rows written to {path}");
+    }
 
     if telemetry_requested() {
         // Re-run the smallest configuration with one shared instrumented

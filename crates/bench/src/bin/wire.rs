@@ -16,7 +16,7 @@
 //!   borrowed [`WireMsgRef`] views, allocating nothing per message.
 //!
 //! Flags: `--smoke` (fewer iterations for CI), `--json <path>` (result
-//! rows; defaults to `BENCH_wire.json`), `--assert-budget <msgs/s>`
+//! rows; written only when a path is given), `--assert-budget <msgs/s>`
 //! (fail unless the batched `ViolationMsg` round trip reaches the given
 //! rate).
 
@@ -348,9 +348,10 @@ fn main() {
         );
     }
 
-    let path = arg_value("--json").unwrap_or_else(|| "BENCH_wire.json".to_string());
-    std::fs::write(&path, bench_rows_to_json(&rows)).expect("write benchmark rows");
-    eprintln!("benchmark rows written to {path}");
+    if let Some(path) = arg_value("--json") {
+        std::fs::write(&path, bench_rows_to_json(&rows)).expect("write benchmark rows");
+        eprintln!("benchmark rows written to {path}");
+    }
 
     if telemetry_requested() {
         // Mirror the rows into a telemetry handle: one Mark event per

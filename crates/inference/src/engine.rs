@@ -11,15 +11,27 @@
 //! [`Engine::use_naive_matcher`] as a differential-testing oracle (and
 //! as the "before" arm of the scale benchmark); both matchers produce
 //! identical firing sequences.
+//!
+//! The incremental matcher runs on rules compiled at add time (see
+//! `compiled`): numbered variables, so a partial match's bindings are a
+//! frame in a reused flat buffer, and per-pattern index probes resolved
+//! up front. An agenda entry is just its key — the bindings are rebuilt
+//! from the matched facts when it fires — and refraction entries are
+//! dropped as soon as any of their facts is retracted. One violation's
+//! assert → match → fire → retract cycle thus leaves nothing behind and,
+//! once the engine's buffers have grown to the working set, allocates
+//! only the [`Invocation`]s it emits.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
+use crate::compiled::{compile, CAction, CCe, CompiledRule};
 use crate::fact::{Fact, FactId, FactStore, TemplateId};
+use crate::hash::FxHashMap;
 use crate::idvec::IdVec;
-use crate::pattern::{Bindings, Pattern, SlotTest};
-use crate::rule::{Action, Ce, Invocation, Rule};
-use crate::value::{CmpOp, Value};
+use crate::rule::{Invocation, Rule};
+use crate::value::Value;
 
 /// Default bound on the diagnostic firing trace (ring buffer): a
 /// long-lived host manager keeps only the most recent entries.
@@ -69,14 +81,16 @@ pub struct PhaseProfile {
     pub fire_ns: u64,
 }
 
-/// Reusable join buffers: the intermediate partial-match vectors the
-/// join allocates are engine-owned and cleared between calls, so a
-/// steady stream of violation asserts reuses the same heap spines
-/// instead of allocating per propagation.
+/// Reusable join buffers. A partial match is its matched fact ids plus a
+/// frame of `CompiledRule::vars` bindings; frames sit back to back in
+/// one flat vector. Engine-owned and cleared between calls, so a steady
+/// stream of violation asserts reuses the same heap spines.
 #[derive(Debug, Default)]
 struct JoinScratch {
-    partial: Vec<(IdVec, Bindings)>,
-    next: Vec<(IdVec, Bindings)>,
+    ids: Vec<IdVec>,
+    frames: Vec<Option<Value>>,
+    next_ids: Vec<IdVec>,
+    next_frames: Vec<Option<Value>>,
 }
 
 /// Interned rule identifier: the rule's stable definition index. Stable
@@ -85,7 +99,7 @@ struct JoinScratch {
 type RuleIx = u32;
 
 /// Agenda ordering key. Field order gives the conflict-resolution total
-/// order lexicographically, so `BTreeMap::last_key_value` is exactly the
+/// order lexicographically, so the agenda's largest key is exactly the
 /// activation the naive matcher's `max_by_key` picks: highest salience,
 /// then most recent matched fact, then earliest-defined rule, then
 /// smallest fact-id vector.
@@ -97,21 +111,28 @@ struct AgendaKey {
     ids: Reverse<IdVec>,
 }
 
-/// Per-rule matching metadata resolved once at rule-add time.
-#[derive(Clone, Debug, Default)]
-struct CompiledRule {
-    /// Template symbol per condition element (`None` for `test` CEs).
-    ce_tids: Vec<Option<TemplateId>>,
-    /// Distinct templates of positive CEs (assert-delta triggers).
-    pos_tmpls: Vec<TemplateId>,
-    /// Distinct templates of negated CEs (re-evaluation triggers).
-    neg_tmpls: Vec<TemplateId>,
+/// Rules to revisit when a fact of one template changes.
+#[derive(Debug, Default)]
+struct Triggers {
+    /// Rules with a positive CE on the template: seeded on assert.
+    pos: Vec<RuleIx>,
+    /// Rules with a negated CE on it: re-evaluated on assert and retract.
+    neg: Vec<RuleIx>,
+}
+
+/// A loaded rule: its source (the naive oracle matches it by name) and
+/// its compiled form (shared with an in-progress firing).
+#[derive(Debug)]
+struct Loaded {
+    source: Rule,
+    compiled: Arc<CompiledRule>,
 }
 
 /// Bounded diagnostic trace: a ring buffer of the most recent entries.
+/// Rule-name entries share the compiled rule's name.
 #[derive(Debug)]
 struct TraceBuffer {
-    buf: VecDeque<String>,
+    buf: VecDeque<Arc<str>>,
     capacity: usize,
     dropped: u64,
 }
@@ -127,7 +148,7 @@ impl Default for TraceBuffer {
 }
 
 impl TraceBuffer {
-    fn push(&mut self, entry: String) {
+    fn push(&mut self, entry: Arc<str>) {
         while self.buf.len() >= self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -145,7 +166,7 @@ impl TraceBuffer {
 
     fn take(&mut self) -> Vec<String> {
         self.dropped = 0;
-        std::mem::take(&mut self.buf).into_iter().collect()
+        self.buf.drain(..).map(|e| e.to_string()).collect()
     }
 }
 
@@ -155,33 +176,28 @@ pub struct Engine {
     facts: FactStore,
     /// Rule slots by stable index; removal tombstones (`None`) so
     /// indices — and the definition-order tie-break — never shift.
-    rules: Vec<Option<Rule>>,
-    compiled: Vec<CompiledRule>,
+    rules: Vec<Option<Loaded>>,
     /// Rule name → stable index (O(1) add/remove/replace by name).
-    ix_by_name: HashMap<String, RuleIx>,
+    ix_by_name: FxHashMap<String, RuleIx>,
     live_rules: usize,
-    /// Template → rules with a positive CE on it: which rules to re-seed
-    /// when a fact of that template is asserted.
-    pos_triggers: HashMap<TemplateId, Vec<RuleIx>>,
-    /// Template → rules with a negated CE on it: which rules to
-    /// re-evaluate when a fact of that template changes either way.
-    neg_triggers: HashMap<TemplateId, Vec<RuleIx>>,
-    /// The persistent agenda: pending activations in conflict-resolution
-    /// order. `last_key_value` is the next rule to fire.
-    agenda: BTreeMap<AgendaKey, Bindings>,
-    /// Fact → agenda entries matching it, so a retract removes exactly
-    /// the affected activations.
-    agenda_by_fact: HashMap<FactId, HashSet<AgendaKey>>,
-    /// Refraction memory: (rule, positive fact ids) combinations that
-    /// already fired. Cleared per-fact on retraction so re-asserted
-    /// facts re-activate rules, as in CLIPS.
-    fired: HashSet<(RuleIx, IdVec)>,
-    /// Fact → refraction entries mentioning it (retraction cleanup
-    /// without walking the whole `fired` set).
-    fired_by_fact: HashMap<FactId, Vec<(RuleIx, IdVec)>>,
-    /// Firings per rule, so removing a never-fired rule skips the
-    /// refraction sweep entirely.
-    fired_per_rule: HashMap<RuleIx, u64>,
+    /// Delta triggers per template, indexed by `TemplateId`.
+    triggers: Vec<Triggers>,
+    /// The persistent agenda: pending activations sorted ascending in
+    /// conflict-resolution order, so the last entry fires next. It holds
+    /// one report's activations in the managers' use, so a retraction
+    /// sweeps it rather than maintaining a per-fact index.
+    agenda: Vec<AgendaKey>,
+    /// Refraction memory: per fact, the (rule, positive fact ids)
+    /// combinations that fired with it. An entry is filed under each of
+    /// its facts and dropped from all of them when any one is retracted
+    /// (fact ids are never reused, so it could never match again) — a
+    /// long-lived base fact accumulates nothing.
+    fired: FxHashMap<FactId, Vec<(RuleIx, IdVec)>>,
+    /// Rules with an empty left-hand side that have fired (their single
+    /// activation mentions no fact to file it under).
+    fired_empty: Vec<RuleIx>,
+    /// Emptied `fired` lists kept for reuse.
+    spare_lists: Vec<Vec<(RuleIx, IdVec)>>,
     /// Commands emitted by fired rules, awaiting the embedding component.
     outbox: Vec<Invocation>,
     /// Bounded diagnostic trace of fired rule names (plus warnings).
@@ -198,7 +214,11 @@ pub struct Engine {
     /// Reusable join buffers (see [`JoinScratch`]).
     scratch: JoinScratch,
     /// Reusable activation buffer for seeded joins and reconciliation.
-    acts_buf: Vec<(IdVec, Bindings)>,
+    acts_buf: Vec<IdVec>,
+    /// Reusable key buffer for reconciliation.
+    keys_buf: Vec<AgendaKey>,
+    /// Reusable bindings frame for firing.
+    frame: Vec<Option<Value>>,
     /// Per-phase wall-clock accumulators; `None` when profiling is off
     /// (the default — no clock reads on the hot path).
     profile: Option<PhaseProfile>,
@@ -214,47 +234,51 @@ impl Engine {
     /// place (dynamic rule distribution: managers receive updated rules
     /// at run time), keeping its definition order and refraction history.
     pub fn add_rule(&mut self, rule: Rule) {
-        match self.ix_by_name.get(&rule.name).copied() {
+        let compiled = Arc::new(compile(&rule, &mut self.facts));
+        let ix = match self.ix_by_name.get(&rule.name).copied() {
             Some(ix) => {
                 self.unregister_triggers(ix);
-                self.clear_rule_agenda(ix);
-                let compiled = self.compile(&rule);
-                self.rules[ix as usize] = Some(rule);
-                self.compiled[ix as usize] = compiled;
-                self.register_triggers(ix);
-                if !self.naive {
-                    self.reconcile_rule(ix);
-                }
+                self.agenda.retain(|k| k.rule.0 != ix);
+                ix
             }
             None => {
                 let ix = self.rules.len() as RuleIx;
-                let compiled = self.compile(&rule);
                 self.ix_by_name.insert(rule.name.clone(), ix);
-                self.rules.push(Some(rule));
-                self.compiled.push(compiled);
+                self.rules.push(None);
                 self.live_rules += 1;
-                self.register_triggers(ix);
-                if !self.naive {
-                    self.reconcile_rule(ix);
-                }
+                ix
             }
+        };
+        self.rules[ix as usize] = Some(Loaded {
+            source: rule,
+            compiled,
+        });
+        self.register_triggers(ix);
+        if !self.naive {
+            self.reconcile_rule(ix);
         }
     }
 
     /// Remove a rule by name; true if it existed. O(name lookup +
-    /// pending activations); the refraction memory is swept only if the
-    /// rule ever fired.
+    /// pending activations + refraction memory).
     pub fn remove_rule(&mut self, name: &str) -> bool {
         let Some(ix) = self.ix_by_name.remove(name) else {
             return false;
         };
         self.unregister_triggers(ix);
-        self.clear_rule_agenda(ix);
+        self.agenda.retain(|k| k.rule.0 != ix);
         self.rules[ix as usize] = None;
         self.live_rules -= 1;
-        if self.fired_per_rule.remove(&ix).is_some_and(|n| n > 0) {
-            self.fired.retain(|(r, _)| *r != ix);
-        }
+        self.fired_empty.retain(|&r| r != ix);
+        let spare = &mut self.spare_lists;
+        self.fired.retain(|_, list| {
+            list.retain(|(r, _)| *r != ix);
+            if list.is_empty() {
+                spare.push(std::mem::take(list));
+                return false;
+            }
+            true
+        });
         true
     }
 
@@ -267,7 +291,7 @@ impl Engine {
     pub fn rule_names(&self) -> impl Iterator<Item = &str> {
         self.rules
             .iter()
-            .filter_map(|r| r.as_ref().map(|r| r.name.as_str()))
+            .filter_map(|r| r.as_ref().map(|r| r.source.name.as_str()))
     }
 
     /// Assert a fact into working memory; the delta propagates through
@@ -287,28 +311,13 @@ impl Engine {
     /// negation).
     pub fn retract(&mut self, id: FactId) -> Option<Fact> {
         let (fact, tid) = self.facts.retract_interned(id)?;
-        if let Some(keys) = self.fired_by_fact.remove(&id) {
-            for key in keys {
-                if self.fired.remove(&key) {
-                    if let Some(n) = self.fired_per_rule.get_mut(&key.0) {
-                        *n = n.saturating_sub(1);
-                    }
-                }
-            }
-        }
+        self.forget_fired(id);
         if !self.naive {
-            if let Some(keys) = self.agenda_by_fact.remove(&id) {
-                for key in keys {
-                    self.agenda.remove(&key);
-                    for &other in key.ids.0.as_slice() {
-                        if other != id {
-                            self.unindex_agenda_fact(other, &key);
-                        }
-                    }
-                }
+            if !self.agenda.is_empty() {
+                self.agenda.retain(|k| !k.ids.0.contains(id));
             }
-            let neg: Vec<RuleIx> = self.neg_triggers.get(&tid).cloned().unwrap_or_default();
-            for ix in neg {
+            for k in 0..self.triggers.get(tid.0 as usize).map_or(0, |t| t.neg.len()) {
+                let ix = self.triggers[tid.0 as usize].neg[k];
                 self.reconcile_rule(ix);
             }
         }
@@ -356,7 +365,7 @@ impl Engine {
     /// The retained diagnostic trace (most recent
     /// [`DEFAULT_TRACE_CAPACITY`] entries unless resized), oldest first.
     pub fn trace(&self) -> impl Iterator<Item = &str> {
-        self.trace.buf.iter().map(String::as_str)
+        self.trace.buf.iter().map(|e| &**e)
     }
 
     /// Drain the retained trace, resetting the dropped-entry counter.
@@ -385,12 +394,15 @@ impl Engine {
             return;
         }
         self.naive = on;
+        self.agenda.clear();
         if on {
-            self.agenda.clear();
-            self.agenda_by_fact.clear();
             self.peak_agenda_acc = 0;
         } else {
-            self.rebuild_agenda();
+            for ix in 0..self.rules.len() as RuleIx {
+                if self.rules[ix as usize].is_some() {
+                    self.reconcile_rule(ix);
+                }
+            }
         }
     }
 
@@ -458,13 +470,13 @@ impl Engine {
     /// triggered by the rule's own asserts/retracts lands in those
     /// counters while firing, so it is subtracted from the wall time
     /// charged to the fire phase.
-    fn fire_timed(&mut self, ix: RuleIx, fact_ids: &[FactId], bindings: &Bindings) {
+    fn fire_timed(&mut self, ix: RuleIx, fact_ids: &[FactId]) {
         let Some(before) = self.profile else {
-            self.fire(ix, fact_ids, bindings);
+            self.fire(ix, fact_ids);
             return;
         };
         let t = std::time::Instant::now();
-        self.fire(ix, fact_ids, bindings);
+        self.fire(ix, fact_ids);
         let elapsed = t.elapsed().as_nanos() as u64;
         if let Some(p) = self.profile.as_mut() {
             let nested = (p.match_ns - before.match_ns) + (p.agenda_ns - before.agenda_ns);
@@ -486,26 +498,15 @@ impl Engine {
             }
             stats.cycles += 1;
             let t_agenda = self.prof_now();
-            let Some((key, bindings)) = self
-                .agenda
-                .last_key_value()
-                .map(|(k, b)| (k.clone(), b.clone()))
-            else {
+            let Some(key) = self.agenda.pop() else {
                 break;
             };
-            self.agenda_remove(&key);
             self.prof_add_agenda(t_agenda);
             let ix = key.rule.0;
             let ids = key.ids.0;
-            self.record_fired(ix, ids.clone());
-            let name = self.rules[ix as usize]
-                .as_ref()
-                .expect("agenda entries only for live rules")
-                .name
-                .clone();
-            self.trace.push(name);
+            self.record_fired(ix, &ids);
             stats.fired += 1;
-            self.fire_timed(ix, ids.as_slice(), &bindings);
+            self.fire_timed(ix, ids.as_slice());
         }
         stats.activations = std::mem::take(&mut self.join_work);
         stats.peak_agenda = std::mem::take(&mut self.peak_agenda_acc);
@@ -513,8 +514,10 @@ impl Engine {
     }
 
     /// The original per-cycle full-rematch loop, kept as the
-    /// differential-testing oracle and benchmark baseline. Join work
-    /// counts every fact examined while re-matching each cycle.
+    /// differential-testing oracle and benchmark baseline: it re-joins
+    /// every rule's *source* form by name ([`Rule::activations`]) over
+    /// the whole working memory each cycle. Join work counts every fact
+    /// examined while re-matching.
     fn run_naive(&mut self, max_cycles: u64) -> RunStats {
         let mut stats = RunStats::default();
         loop {
@@ -526,22 +529,21 @@ impl Engine {
             let t_match = self.prof_now();
             let mut work = 0u64;
             let mut agenda = 0u64;
-            let mut best: Option<(RuleIx, Vec<FactId>, Bindings)> = None;
             type NaiveKey = (i32, FactId, Reverse<RuleIx>, Reverse<Vec<FactId>>);
-            let mut best_key: Option<NaiveKey> = None;
-            for (ix, rule) in self.rules.iter().enumerate() {
-                let Some(rule) = rule else { continue };
+            let mut best: Option<NaiveKey> = None;
+            for (ix, slot) in self.rules.iter().enumerate() {
+                let Some(loaded) = slot else { continue };
+                let rule = &loaded.source;
                 let ix = ix as RuleIx;
-                for (ids, bindings) in join_naive(rule, &self.facts, &mut work) {
-                    if self.fired.contains(&(ix, IdVec::from_slice(&ids))) {
+                for (ids, _) in rule.activations_counted(&self.facts, &mut work) {
+                    if self.refracted(ix, &ids) {
                         continue;
                     }
                     agenda += 1;
                     let recency = ids.iter().copied().max().unwrap_or(FactId(0));
-                    let key = (rule.salience, recency, Reverse(ix), Reverse(ids.clone()));
-                    if best_key.as_ref().is_none_or(|bk| key > *bk) {
-                        best_key = Some(key);
-                        best = Some((ix, ids, bindings));
+                    let key = (rule.salience, recency, Reverse(ix), Reverse(ids));
+                    if best.as_ref().is_none_or(|bk| key > *bk) {
+                        best = Some(key);
                     }
                 }
             }
@@ -549,124 +551,48 @@ impl Engine {
             self.join_work_total += work;
             stats.activations += work;
             stats.peak_agenda = stats.peak_agenda.max(agenda);
-            let Some((ix, ids, bindings)) = best else {
+            let Some((_, _, Reverse(ix), Reverse(ids))) = best else {
                 return stats;
             };
-            self.record_fired(ix, IdVec::from_slice(&ids));
-            let name = self.rules[ix as usize]
-                .as_ref()
-                .expect("selected rule exists")
-                .name
-                .clone();
-            self.trace.push(name);
+            self.record_fired(ix, &IdVec::from_slice(&ids));
             stats.fired += 1;
-            self.fire_timed(ix, &ids, &bindings);
+            self.fire_timed(ix, &ids);
         }
     }
 
     // --- Incremental matching internals. ---
 
-    fn compile(&mut self, rule: &Rule) -> CompiledRule {
-        let mut c = CompiledRule::default();
-        for ce in &rule.ces {
-            match ce {
-                Ce::Pos(p) => {
-                    let tid = self.facts.intern_template(&p.template);
-                    c.ce_tids.push(Some(tid));
-                    if !c.pos_tmpls.contains(&tid) {
-                        c.pos_tmpls.push(tid);
-                    }
-                }
-                Ce::Neg(p) => {
-                    let tid = self.facts.intern_template(&p.template);
-                    c.ce_tids.push(Some(tid));
-                    if !c.neg_tmpls.contains(&tid) {
-                        c.neg_tmpls.push(tid);
-                    }
-                }
-                Ce::Test(_) => c.ce_tids.push(None),
-            }
-        }
-        c
-    }
-
     fn register_triggers(&mut self, ix: RuleIx) {
-        let c = self.compiled[ix as usize].clone();
-        for t in c.pos_tmpls {
-            let v = self.pos_triggers.entry(t).or_default();
-            if !v.contains(&ix) {
-                v.push(ix);
-            }
-        }
-        for t in c.neg_tmpls {
-            let v = self.neg_triggers.entry(t).or_default();
-            if !v.contains(&ix) {
-                v.push(ix);
+        let c = Arc::clone(compiled_of(&self.rules, ix));
+        for (tmpls, neg) in [(&c.pos_tmpls, false), (&c.neg_tmpls, true)] {
+            for t in tmpls {
+                let t = t.0 as usize;
+                if self.triggers.len() <= t {
+                    self.triggers.resize_with(t + 1, Triggers::default);
+                }
+                let list = if neg {
+                    &mut self.triggers[t].neg
+                } else {
+                    &mut self.triggers[t].pos
+                };
+                if !list.contains(&ix) {
+                    list.push(ix);
+                }
             }
         }
     }
 
     fn unregister_triggers(&mut self, ix: RuleIx) {
-        let c = self.compiled[ix as usize].clone();
-        for t in c.pos_tmpls {
-            if let Some(v) = self.pos_triggers.get_mut(&t) {
-                v.retain(|&r| r != ix);
-            }
-        }
-        for t in c.neg_tmpls {
-            if let Some(v) = self.neg_triggers.get_mut(&t) {
-                v.retain(|&r| r != ix);
-            }
+        for t in &mut self.triggers {
+            t.pos.retain(|&r| r != ix);
+            t.neg.retain(|&r| r != ix);
         }
     }
 
-    fn make_key(&self, ix: RuleIx, salience: i32, ids: IdVec) -> AgendaKey {
-        AgendaKey {
-            salience,
-            recency: ids.recency(),
-            rule: Reverse(ix),
-            ids: Reverse(ids),
-        }
-    }
-
-    fn agenda_insert(&mut self, key: AgendaKey, bindings: Bindings) {
-        for &id in key.ids.0.as_slice() {
-            self.agenda_by_fact
-                .entry(id)
-                .or_default()
-                .insert(key.clone());
-        }
-        self.agenda.insert(key, bindings);
-        self.peak_agenda_acc = self.peak_agenda_acc.max(self.agenda.len() as u64);
-    }
-
-    fn agenda_remove(&mut self, key: &AgendaKey) {
-        if self.agenda.remove(key).is_none() {
-            return;
-        }
-        for &id in key.ids.0.as_slice() {
-            self.unindex_agenda_fact(id, key);
-        }
-    }
-
-    fn unindex_agenda_fact(&mut self, id: FactId, key: &AgendaKey) {
-        if let Some(set) = self.agenda_by_fact.get_mut(&id) {
-            set.remove(key);
-            if set.is_empty() {
-                self.agenda_by_fact.remove(&id);
-            }
-        }
-    }
-
-    fn clear_rule_agenda(&mut self, ix: RuleIx) {
-        let stale: Vec<AgendaKey> = self
-            .agenda
-            .keys()
-            .filter(|k| k.rule.0 == ix)
-            .cloned()
-            .collect();
-        for key in stale {
-            self.agenda_remove(&key);
+    fn agenda_insert(&mut self, key: AgendaKey) {
+        if let Err(at) = self.agenda.binary_search(&key) {
+            self.agenda.insert(at, key);
+            self.peak_agenda_acc = self.peak_agenda_acc.max(self.agenda.len() as u64);
         }
     }
 
@@ -680,17 +606,21 @@ impl Engine {
     /// for rules with positive patterns on it — only combinations
     /// containing the new fact are examined.
     fn propagate_assert(&mut self, id: FactId, tid: TemplateId) {
-        let neg: Vec<RuleIx> = self.neg_triggers.get(&tid).cloned().unwrap_or_default();
-        for &ix in &neg {
+        let t = tid.0 as usize;
+        let Some(trig) = self.triggers.get(t) else {
+            return;
+        };
+        let (n_neg, n_pos) = (trig.neg.len(), trig.pos.len());
+        for k in 0..n_neg {
+            let ix = self.triggers[t].neg[k];
             self.reconcile_rule(ix);
         }
-        if let Some(pos) = self.pos_triggers.get(&tid).cloned() {
-            for ix in pos {
-                if neg.contains(&ix) {
-                    continue; // already fully re-evaluated
-                }
-                self.seed_rule(ix, tid, id);
+        for k in 0..n_pos {
+            let ix = self.triggers[t].pos[k];
+            if self.triggers[t].neg.contains(&ix) {
+                continue; // already fully re-evaluated
             }
+            self.seed_rule(ix, tid, id);
         }
     }
 
@@ -702,37 +632,32 @@ impl Engine {
         let t_match = self.prof_now();
         let mut acts = std::mem::take(&mut self.acts_buf);
         acts.clear();
-        let (work, salience) = {
-            let rule = self.rules[ix as usize].as_ref().expect("live rule");
-            let compiled = &self.compiled[ix as usize];
-            let mut work = 0u64;
-            let mut pos_ix = 0usize;
-            for (ce_i, ce) in rule.ces.iter().enumerate() {
-                if matches!(ce, Ce::Pos(_)) {
-                    if compiled.ce_tids[ce_i] == Some(tid) {
-                        join_compiled(
-                            rule,
-                            compiled,
-                            &self.facts,
-                            Some((pos_ix, seed)),
-                            &mut work,
-                            &mut self.scratch,
-                            &mut acts,
-                        );
-                    }
-                    pos_ix += 1;
+        let mut work = 0u64;
+        let rule = compiled_of(&self.rules, ix);
+        let mut pos_ix = 0usize;
+        for ce in &rule.ces {
+            if let CCe::Pos(p) = ce {
+                if p.tid == tid {
+                    join(
+                        rule,
+                        &self.facts,
+                        Some((pos_ix, seed)),
+                        &mut work,
+                        &mut self.scratch,
+                        &mut acts,
+                    );
                 }
+                pos_ix += 1;
             }
-            (work, rule.salience)
-        };
+        }
+        let salience = rule.salience;
         self.prof_add_match(t_match);
         self.note_work(work);
         let t_agenda = self.prof_now();
-        for (ids, bindings) in acts.drain(..) {
+        for ids in acts.drain(..) {
             // The activation contains the brand-new fact, so it can be in
             // neither the refraction memory nor the agenda already.
-            let key = self.make_key(ix, salience, ids);
-            self.agenda_insert(key, bindings);
+            self.agenda_insert(make_key(ix, salience, ids));
         }
         self.acts_buf = acts;
         self.prof_add_agenda(t_agenda);
@@ -745,280 +670,260 @@ impl Engine {
         let t_match = self.prof_now();
         let mut acts = std::mem::take(&mut self.acts_buf);
         acts.clear();
-        let (work, salience) = {
-            let rule = self.rules[ix as usize].as_ref().expect("live rule");
-            let compiled = &self.compiled[ix as usize];
-            let mut work = 0u64;
-            join_compiled(
-                rule,
-                compiled,
-                &self.facts,
-                None,
-                &mut work,
-                &mut self.scratch,
-                &mut acts,
-            );
-            (work, rule.salience)
-        };
+        let mut work = 0u64;
+        let rule = compiled_of(&self.rules, ix);
+        join(
+            rule,
+            &self.facts,
+            None,
+            &mut work,
+            &mut self.scratch,
+            &mut acts,
+        );
+        let salience = rule.salience;
         self.prof_add_match(t_match);
         self.note_work(work);
         let t_agenda = self.prof_now();
-        let mut fresh: HashMap<AgendaKey, Bindings> = HashMap::with_capacity(acts.len());
-        for (ids, bindings) in acts.drain(..) {
-            fresh.insert(self.make_key(ix, salience, ids), bindings);
+        let mut fresh = std::mem::take(&mut self.keys_buf);
+        fresh.clear();
+        fresh.extend(acts.drain(..).map(|ids| make_key(ix, salience, ids)));
+        fresh.sort_unstable();
+        self.agenda
+            .retain(|k| k.rule.0 != ix || fresh.binary_search(k).is_ok());
+        for key in fresh.drain(..) {
+            if !self.refracted(ix, key.ids.0.as_slice()) {
+                self.agenda_insert(key);
+            }
         }
+        self.keys_buf = fresh;
         self.acts_buf = acts;
-        let stale: Vec<AgendaKey> = self
-            .agenda
-            .keys()
-            .filter(|k| k.rule.0 == ix && !fresh.contains_key(k))
-            .cloned()
-            .collect();
-        for key in stale {
-            self.agenda_remove(&key);
-        }
-        for (key, bindings) in fresh {
-            if self.fired.contains(&(ix, key.ids.0.clone())) {
-                continue;
-            }
-            if !self.agenda.contains_key(&key) {
-                self.agenda_insert(key, bindings);
-            }
-        }
         self.prof_add_agenda(t_agenda);
     }
 
-    fn rebuild_agenda(&mut self) {
-        self.agenda.clear();
-        self.agenda_by_fact.clear();
-        for ix in 0..self.rules.len() as RuleIx {
-            if self.rules[ix as usize].is_some() {
-                self.reconcile_rule(ix);
-            }
+    /// Has this (rule, facts) combination already fired?
+    fn refracted(&self, ix: RuleIx, ids: &[FactId]) -> bool {
+        match ids.first() {
+            None => self.fired_empty.contains(&ix),
+            Some(id) => self
+                .fired
+                .get(id)
+                .is_some_and(|list| list.iter().any(|(r, v)| *r == ix && v.as_slice() == ids)),
         }
     }
 
-    fn record_fired(&mut self, ix: RuleIx, ids: IdVec) {
+    fn record_fired(&mut self, ix: RuleIx, ids: &IdVec) {
+        if ids.is_empty() {
+            self.fired_empty.push(ix);
+            return;
+        }
         for &id in ids.as_slice() {
-            self.fired_by_fact
+            let spare = &mut self.spare_lists;
+            self.fired
                 .entry(id)
-                .or_default()
+                .or_insert_with(|| spare.pop().unwrap_or_default())
                 .push((ix, ids.clone()));
         }
-        *self.fired_per_rule.entry(ix).or_insert(0) += 1;
-        self.fired.insert((ix, ids));
     }
 
-    fn fire(&mut self, ix: RuleIx, fact_ids: &[FactId], bindings: &Bindings) {
-        let rule = self.rules[ix as usize].as_ref().expect("fired rule exists");
-        let actions = rule.actions.clone();
-        debug_assert_eq!(rule.pos_ce_count(), fact_ids.len());
-        for action in actions {
+    /// Drop every refraction entry mentioning a retracted fact, from the
+    /// lists of all the facts it was filed under.
+    fn forget_fired(&mut self, id: FactId) {
+        let Some(mut list) = self.fired.remove(&id) else {
+            return;
+        };
+        for (ix, ids) in list.drain(..) {
+            for &other in ids.as_slice() {
+                if other == id {
+                    continue;
+                }
+                if let Some(others) = self.fired.get_mut(&other) {
+                    if let Some(at) = others.iter().position(|(r, v)| *r == ix && *v == ids) {
+                        others.swap_remove(at);
+                    }
+                    if others.is_empty() {
+                        let emptied = self.fired.remove(&other).expect("just seen");
+                        self.spare_lists.push(emptied);
+                    }
+                }
+            }
+        }
+        self.spare_lists.push(list);
+    }
+
+    fn fire(&mut self, ix: RuleIx, fact_ids: &[FactId]) {
+        let rule = Arc::clone(compiled_of(&self.rules, ix));
+        self.trace.push(Arc::clone(&rule.name));
+        let mut frame = std::mem::take(&mut self.frame);
+        rule.bind(&self.facts, fact_ids, &mut frame);
+        for action in &rule.actions {
             match action {
-                Action::Assert { template, slots } => {
-                    let mut fact = Fact::new(template);
+                CAction::Assert { template, slots } => {
+                    let mut fact = Fact::new(template.as_str());
                     for (slot, term) in slots {
-                        match term.resolve(bindings) {
+                        match term.resolve(&frame) {
                             Some(v) => {
-                                fact.slots.insert(slot, v);
+                                fact.slots.insert(slot.clone(), v.clone());
                             }
                             None => {
                                 // Unbound variable in RHS: record and skip
                                 // the slot rather than aborting the run.
-                                self.trace.push(format!(
-                                    "warning: unbound variable in assert of ({})",
-                                    fact.template
-                                ));
+                                self.trace.push(Arc::from(format!(
+                                    "warning: unbound variable in assert of ({template})"
+                                )));
                             }
                         }
                     }
                     self.assert_fact(fact);
                 }
-                Action::Retract(pos_ix) => {
-                    if let Some(&id) = fact_ids.get(pos_ix) {
+                CAction::Retract(pos_ix) => {
+                    if let Some(&id) = fact_ids.get(*pos_ix) {
                         self.retract(id);
                     }
                 }
-                Action::Modify { pos_index, slots } => {
-                    if let Some(&id) = fact_ids.get(pos_index) {
+                CAction::Modify { pos_index, slots } => {
+                    if let Some(&id) = fact_ids.get(*pos_index) {
                         if let Some(mut fact) = self.retract(id) {
                             for (slot, term) in slots {
-                                if let Some(v) = term.resolve(bindings) {
-                                    fact.slots.insert(slot, v);
+                                if let Some(v) = term.resolve(&frame) {
+                                    fact.slots.insert(slot.clone(), v.clone());
                                 }
                             }
                             self.assert_fact(fact);
                         }
                     }
                 }
-                Action::Call { command, args } => {
-                    let resolved: Vec<Value> =
-                        args.iter().filter_map(|t| t.resolve(bindings)).collect();
+                CAction::Call { command, args } => {
+                    let args = args
+                        .iter()
+                        .filter_map(|t| t.resolve(&frame).cloned())
+                        .collect();
                     self.outbox.push(Invocation {
-                        command,
-                        args: resolved,
+                        command: command.clone(),
+                        args,
                     });
                 }
             }
         }
+        self.frame = frame;
     }
 }
 
-/// Left-to-right join over the alpha memories, optionally pinning one
+/// The compiled form of a live rule (a free function, so callers can
+/// borrow other engine fields mutably alongside it).
+fn compiled_of(rules: &[Option<Loaded>], ix: RuleIx) -> &Arc<CompiledRule> {
+    &rules[ix as usize].as_ref().expect("live rule").compiled
+}
+
+fn make_key(ix: RuleIx, salience: i32, ids: IdVec) -> AgendaKey {
+    AgendaKey {
+        salience,
+        recency: ids.recency(),
+        rule: Reverse(ix),
+        ids: Reverse(ids),
+    }
+}
+
+/// Left-to-right join of a compiled rule, optionally pinning one
 /// positive CE position to a single seed fact. `work` counts every
-/// candidate fact examined. Appends complete matches to `out`. The
-/// intermediate partial-match vectors live in `scratch` and are reused
-/// across calls.
-/// The candidate list for one positive/negated CE under bindings `b`:
-/// probe the store's equality-join index with the first slot pinned by a
-/// constant or an already-bound variable (an indexed Rete alpha memory —
-/// the bucket holds only facts that can satisfy that slot), falling back
-/// to the full alpha memory when nothing is pinned. Candidates are
-/// always re-verified by `match_slots`, so a probe changes which facts
-/// are *examined*, never which activations result.
-fn join_candidates<'f>(
-    p: &Pattern,
-    b: &Bindings,
-    facts: &'f FactStore,
-    tid: TemplateId,
-) -> &'f [FactId] {
-    for (slot, test) in &p.tests {
-        let pinned = match test {
-            SlotTest::Const(v) | SlotTest::Cmp(CmpOp::Eq, v) => Some(v),
-            SlotTest::Var(name) => b.get(name),
-            SlotTest::Cmp(..) => None,
-        };
-        if let Some(v) = pinned {
-            return facts.ids_with_slot(tid, slot, v);
-        }
-    }
-    facts.ids_of(tid)
-}
-
-fn join_compiled(
-    rule: &Rule,
-    compiled: &CompiledRule,
+/// candidate fact examined. Appends the fact ids of complete matches to
+/// `out`; the partial matches live in `scratch` and are reused across
+/// calls.
+fn join(
+    rule: &CompiledRule,
     facts: &FactStore,
     seed: Option<(usize, FactId)>,
     work: &mut u64,
     scratch: &mut JoinScratch,
-    out: &mut Vec<(IdVec, Bindings)>,
+    out: &mut Vec<IdVec>,
 ) {
-    let partial = &mut scratch.partial;
-    let next = &mut scratch.next;
-    partial.clear();
-    partial.push((IdVec::new(), Bindings::new()));
+    let JoinScratch {
+        ids,
+        frames,
+        next_ids,
+        next_frames,
+    } = scratch;
+    let n = rule.vars;
+    ids.clear();
+    frames.clear();
+    ids.push(IdVec::new());
+    frames.resize(n, None);
     let mut pos_ix = 0usize;
-    for (ce_i, ce) in rule.ces.iter().enumerate() {
+    for ce in &rule.ces {
         match ce {
-            Ce::Pos(p) => {
-                let tid = compiled.ce_tids[ce_i].expect("positive CE has a template");
+            CCe::Pos(p) => {
                 let pinned = seed.and_then(|(s_pos, s_id)| (s_pos == pos_ix).then_some(s_id));
-                next.clear();
-                for (ids, b) in partial.iter() {
-                    match pinned {
-                        Some(s_id) => {
-                            *work += 1;
-                            if !ids.contains(s_id) {
-                                if let Some(fact) = facts.get(s_id) {
-                                    if let Some(nb) = p.match_slots(fact, b) {
-                                        let mut nids = ids.clone();
-                                        nids.push(s_id);
-                                        next.push((nids, nb));
-                                    }
-                                }
-                            }
+                next_ids.clear();
+                next_frames.clear();
+                for (r, matched) in ids.iter().enumerate() {
+                    let frame = &frames[r * n..(r + 1) * n];
+                    let candidates = match &pinned {
+                        Some(s_id) => std::slice::from_ref(s_id),
+                        None => p.candidates(frame, facts),
+                    };
+                    for &fid in candidates {
+                        *work += 1;
+                        if matched.contains(fid) {
+                            // A fact may not be matched twice by one rule
+                            // instantiation.
+                            continue;
                         }
-                        None => {
-                            for &fid in join_candidates(p, b, facts, tid) {
-                                *work += 1;
-                                if ids.contains(fid) {
-                                    // A fact may not be matched twice by
-                                    // one rule instantiation.
-                                    continue;
-                                }
-                                let fact = facts.get(fid).expect("index ids are live");
-                                if let Some(nb) = p.match_slots(fact, b) {
-                                    let mut nids = ids.clone();
-                                    nids.push(fid);
-                                    next.push((nids, nb));
-                                }
-                            }
+                        let fact = facts.get(fid).expect("candidate ids are live");
+                        let start = next_frames.len();
+                        next_frames.extend_from_slice(frame);
+                        if p.match_into(fact, &mut next_frames[start..]) {
+                            let mut extended = matched.clone();
+                            extended.push(fid);
+                            next_ids.push(extended);
+                        } else {
+                            next_frames.truncate(start);
                         }
                     }
                 }
-                std::mem::swap(partial, next);
+                std::mem::swap(ids, next_ids);
+                std::mem::swap(frames, next_frames);
                 pos_ix += 1;
             }
-            Ce::Neg(p) => {
-                let tid = compiled.ce_tids[ce_i].expect("negated CE has a template");
-                partial.retain(|(_, b)| {
-                    let mut blocked = false;
-                    for &fid in join_candidates(p, b, facts, tid) {
-                        *work += 1;
-                        let fact = facts.get(fid).expect("index ids are live");
-                        if p.match_slots(fact, b).is_some() {
-                            blocked = true;
-                            break;
-                        }
+            CCe::Neg(p) => retain_partials(ids, frames, n, |frame| {
+                for &fid in p.candidates(frame, facts) {
+                    *work += 1;
+                    let fact = facts.get(fid).expect("candidate ids are live");
+                    if p.match_into(fact, frame) {
+                        return false;
                     }
-                    !blocked
-                });
-            }
-            Ce::Test(t) => partial.retain(|(_, b)| t.eval(b)),
+                }
+                true
+            }),
+            CCe::Test(t) => retain_partials(ids, frames, n, |frame| t.eval(frame)),
         }
-        if partial.is_empty() {
+        if ids.is_empty() {
             return;
         }
     }
-    out.append(partial);
+    out.append(ids);
 }
 
-/// The seed algorithm's join: re-derives every activation from a full
-/// scan of working memory, per condition element, per partial match —
-/// `work` counts each fact visited, template matches and misses alike
-/// (that is what the original matcher examined each cycle).
-fn join_naive(rule: &Rule, facts: &FactStore, work: &mut u64) -> Vec<(Vec<FactId>, Bindings)> {
-    let mut partial: Vec<(Vec<FactId>, Bindings)> = vec![(Vec::new(), Bindings::new())];
-    for ce in &rule.ces {
-        match ce {
-            Ce::Pos(p) => {
-                let mut next = Vec::new();
-                for (ids, b) in &partial {
-                    for (fid, fact) in facts.iter() {
-                        *work += 1;
-                        if fact.template != p.template || ids.contains(&fid) {
-                            continue;
-                        }
-                        if let Some(nb) = p.match_slots(fact, b) {
-                            let mut nids = ids.clone();
-                            nids.push(fid);
-                            next.push((nids, nb));
-                        }
-                    }
+/// Keep the partial matches whose frame passes `keep`, in order,
+/// compacting ids and frames in place (frames move, never clone).
+fn retain_partials(
+    ids: &mut Vec<IdVec>,
+    frames: &mut Vec<Option<Value>>,
+    n: usize,
+    mut keep: impl FnMut(&mut [Option<Value>]) -> bool,
+) {
+    let mut kept = 0;
+    for r in 0..ids.len() {
+        if keep(&mut frames[r * n..(r + 1) * n]) {
+            if kept != r {
+                ids.swap(kept, r);
+                for k in 0..n {
+                    frames.swap(kept * n + k, r * n + k);
                 }
-                partial = next;
             }
-            Ce::Neg(p) => {
-                partial.retain(|(_, b)| {
-                    let mut blocked = false;
-                    for (_, fact) in facts.iter() {
-                        *work += 1;
-                        if fact.template == p.template && p.match_slots(fact, b).is_some() {
-                            blocked = true;
-                            break;
-                        }
-                    }
-                    !blocked
-                });
-            }
-            Ce::Test(t) => partial.retain(|(_, b)| t.eval(b)),
-        }
-        if partial.is_empty() {
-            break;
+            kept += 1;
         }
     }
-    partial
+    ids.truncate(kept);
+    frames.truncate(kept * n);
 }
 
 #[cfg(test)]
@@ -1336,6 +1241,96 @@ mod tests {
         e.assert_fact(Fact::new("violation").with("pid", 3).with("buffer", 70));
         e.run(100);
         assert_eq!(e.phase_profile(), PhaseProfile::default());
+    }
+
+    /// The host manager's shipped rule base and base facts
+    /// (`host_rules_fair` + `host_base_facts` in qos-manager).
+    const HOST_RULES_FAIR: &str = r#"
+        (defrule local-cpu-starvation (declare (salience 10))
+          (violation (pid ?p) (fps ?f) (lo ?lo) (buffer ?b) (weight ?w))
+          (threshold (name buffer-cutoff) (value ?bt))
+          (test (< ?f ?lo)) (test (> ?b ?bt))
+          => (call adjust-cpu ?p ?f ?lo 1) (retract 0))
+        (defrule remote-cause (declare (salience 10))
+          (violation (pid ?p) (fps ?f) (lo ?lo) (buffer ?b) (has-upstream true))
+          (threshold (name buffer-cutoff) (value ?bt))
+          (test (< ?f ?lo)) (test (<= ?b ?bt))
+          => (call notify-domain ?p ?f) (retract 0))
+        (defrule local-fallback
+          (violation (pid ?p) (fps ?f) (lo ?lo) (has-upstream false))
+          (test (< ?f ?lo))
+          => (call adjust-cpu ?p ?f ?lo 1) (retract 0))
+        (defrule response-time-slow (declare (salience 22))
+          (violation (pid ?p) (attr response_time) (fps ?v) (hi ?hi) (weight ?w))
+          (test (> ?v ?hi))
+          => (call nudge-cpu ?p ?w) (retract 0))
+        (defrule over-achieving (declare (salience 20))
+          (violation (pid ?p) (fps ?f) (hi ?hi))
+          (test (> ?f ?hi))
+          => (call relax-cpu ?p ?f ?hi) (retract 0))
+        (defrule memory-shortfall (declare (salience 30))
+          (mem-deficit (pid ?p) (pages ?n))
+          (test (> ?n 0))
+          => (call adjust-memory ?p ?n) (retract 0))
+        (defrule unhandled-violation (declare (salience -10))
+          (violation (pid ?p))
+          => (call unhandled-violation ?p) (retract 0))
+        (deffacts thresholds (threshold (name buffer-cutoff) (value 1000)))
+    "#;
+
+    #[test]
+    fn host_rule_churn_keeps_memory_bounded() {
+        // The threshold fact is asserted first and stays live forever,
+        // and every starvation firing joins it. 100k violations over all
+        // four live diagnosis paths must leave the fact storage and the
+        // refraction memory as small as they were after the first few.
+        let program = crate::clips::parse_program(HOST_RULES_FAIR).unwrap();
+        let mut e = Engine::new();
+        for r in program.rules {
+            e.add_rule(r);
+        }
+        for f in program.facts {
+            e.assert_fact(f);
+        }
+        let mut seen = std::collections::BTreeMap::new();
+        let (mut peak_store, mut peak_fired) = (0, 0);
+        for i in 0..100_000u64 {
+            // (fps, buffer): starvation, fallback, over-achieving, in-band.
+            let (fps, buffer) =
+                [(15.0, 5_000.0), (15.0, 10.0), (35.0, 10.0), (25.0, 10.0)][(i % 4) as usize];
+            e.assert_fact(
+                Fact::new("violation")
+                    .with("pid", Value::str(format!("h0:p{}", i % 8)))
+                    .with("fps", fps + (i % 3) as f64 * 0.25)
+                    .with("lo", 23.0)
+                    .with("hi", 27.0)
+                    .with("buffer", buffer)
+                    .with("weight", 1.0)
+                    .with("has-upstream", false),
+            );
+            assert_eq!(e.run(100).fired, 1, "one diagnosis per violation");
+            for inv in e.take_invocations() {
+                *seen.entry(inv.command).or_insert(0u64) += 1;
+            }
+            peak_store = peak_store.max(e.facts.footprint());
+            peak_fired =
+                peak_fired.max(e.fired.len() + e.fired.values().map(Vec::len).sum::<usize>());
+        }
+        assert_eq!(seen["adjust-cpu"], 50_000, "starvation + fallback");
+        assert_eq!(seen["relax-cpu"], 25_000);
+        assert_eq!(seen["unhandled-violation"], 25_000);
+        assert_eq!(e.facts().len(), 1, "only the threshold stays");
+        assert!(e.agenda.is_empty());
+        assert!(
+            peak_store <= 64,
+            "fact storage peaked at {peak_store} entries"
+        );
+        assert!(
+            peak_fired <= 4,
+            "refraction memory peaked at {peak_fired} entries"
+        );
+        assert!(e.fired.is_empty(), "nothing filed under the threshold");
+        assert!(e.spare_lists.len() <= 4);
     }
 
     /// Mirror of the scenario mix in the differential proptest, as a fast

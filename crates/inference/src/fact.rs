@@ -7,32 +7,41 @@
 //! the facts that can possibly match instead of scanning the whole
 //! working memory.
 //!
-//! Storage is deliberately **flat**: facts live in a slab addressed by
-//! id (ids are monotonic and never reused, so the slab is an id-offset
-//! ring whose dead prefix is reclaimed as old facts are retracted), each
-//! alpha memory is a sorted `Vec<FactId>` (appending a fresh id keeps it
-//! sorted because ids are monotonic; removal is a binary search plus a
-//! contiguous shift), and duplicate detection is a per-template
-//! fingerprint index instead of a linear slot-comparison scan. A
-//! long-lived host manager asserting and retracting one violation per
-//! report therefore does no tree rebalancing on the hot path, and the
-//! per-violation cost stays flat as working memory grows.
+//! Storage is deliberately **flat** and its footprint follows the *live*
+//! facts, not the lifetime assert count. Facts live in an id-sorted slab
+//! (ids are monotonic and never reused, so appending keeps it sorted and
+//! lookup is a binary search); a retraction leaves a tombstone, and once
+//! tombstones outnumber live entries the slab is compacted in one pass.
+//! A long-lived base fact (a host manager's `threshold`) therefore pins
+//! nothing: one violation asserted and retracted per report leaves no
+//! trace. Each alpha memory is a sorted `Vec<FactId>` (appending a fresh
+//! id keeps it sorted; removal is a binary search plus a contiguous
+//! shift), and duplicate detection is a per-template fingerprint index
+//! instead of a linear slot-comparison scan.
 //!
 //! On top of the alpha memories sits an **equality-join index**
-//! ([`FactStore::ids_with_slot`]): per template, per slot name, a map
-//! from a loose value key to the sorted live ids holding that value.
-//! The engine probes it when a condition element pins a slot to a
-//! constant or an already-bound variable, shrinking a join from "every
-//! fact of the template" to "facts whose slot can satisfy the test".
-//! The key hashes Int and Float through the same normalized f64 bits so
-//! it agrees with `loose_eq` (probing with `Int(3)` finds `Float(3.0)`);
-//! collisions only widen the candidate list, never narrow it, and every
-//! candidate is re-verified against the full pattern.
+//! ([`FactStore::ids_with_slot`]): per template, for each slot that some
+//! rule pattern can probe ([`FactStore::index_slot`]), a map from a loose
+//! value key to the sorted live ids holding that value. Slots no pattern
+//! probes are not indexed at all. The engine probes the index when a
+//! condition element pins a slot to a constant or an already-bound
+//! variable, shrinking a join from "every fact of the template" to
+//! "facts whose slot can satisfy the test". The key hashes Int and Float
+//! through the same normalized f64 bits so it agrees with `loose_eq`
+//! (probing with `Int(3)` finds `Float(3.0)`); collisions only widen the
+//! candidate list, never narrow it, and every candidate is re-verified
+//! against the full pattern.
+//!
+//! Every map here hashes with the crate's Fx hasher, and index buckets
+//! hold up to four ids inline, so asserting and retracting a fact does
+//! no heap work once the maps have grown to the working set.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+use crate::hash::{FxHashMap, FxHasher};
+use crate::idvec::IdVec;
 use crate::value::Value;
 
 /// Identifies an asserted fact. Monotonically increasing; used for the
@@ -88,108 +97,64 @@ impl fmt::Display for Fact {
     }
 }
 
-/// Hash one slot value for the equality-join index. Consistent with
-/// [`Value::loose_eq`]: loosely equal values key equal, so `Int(3)` and
-/// `Float(3.0)` share a numeric key (both hash the `f64` view, with
-/// `-0.0` normalized to `0.0`). Distinct values may collide — the index
-/// returns candidates, and callers re-verify with a slot comparison.
-fn loose_value_key(v: &Value) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    match v {
-        Value::Sym(s) => {
-            0u8.hash(&mut h);
-            s.hash(&mut h);
-        }
-        Value::Str(s) => {
-            1u8.hash(&mut h);
-            s.hash(&mut h);
-        }
-        Value::Int(i) => {
-            2u8.hash(&mut h);
-            norm_f64_bits(*i as f64).hash(&mut h);
-        }
-        Value::Float(f) => {
-            2u8.hash(&mut h);
-            norm_f64_bits(*f).hash(&mut h);
-        }
-        Value::Bool(b) => {
-            3u8.hash(&mut h);
-            b.hash(&mut h);
-        }
-    }
-    h.finish()
-}
-
-fn norm_f64_bits(f: f64) -> u64 {
-    (if f == 0.0 { 0.0 } else { f }).to_bits()
-}
-
 /// Hash a fact's slots for the duplicate index. Consistent with the
 /// derived slot equality used by duplicate suppression: equal slot maps
-/// fingerprint equal. Floats need one normalization — `0.0 == -0.0`
-/// under `f64` equality, so both must hash to the same bits.
+/// fingerprint equal (floats normalize `-0.0` to `0.0`, which `f64`
+/// equality treats as equal).
 fn slots_fingerprint(slots: &BTreeMap<String, Value>) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = FxHasher::default();
     slots.len().hash(&mut h);
     for (k, v) in slots {
         k.hash(&mut h);
-        match v {
-            Value::Sym(s) => {
-                0u8.hash(&mut h);
-                s.hash(&mut h);
-            }
-            Value::Str(s) => {
-                1u8.hash(&mut h);
-                s.hash(&mut h);
-            }
-            Value::Int(i) => {
-                2u8.hash(&mut h);
-                i.hash(&mut h);
-            }
-            Value::Float(f) => {
-                3u8.hash(&mut h);
-                let f = if *f == 0.0 { 0.0 } else { *f };
-                f.to_bits().hash(&mut h);
-            }
-            Value::Bool(b) => {
-                4u8.hash(&mut h);
-                b.hash(&mut h);
-            }
-        }
+        v.hash_strict(&mut h);
     }
     h.finish()
 }
+
+/// A live fact with what retraction needs, computed once at assert.
+#[derive(Debug)]
+struct Stored {
+    tid: TemplateId,
+    /// Slot fingerprint (the duplicate-index key).
+    fp: u64,
+    fact: Fact,
+}
+
+/// The memories of one template.
+#[derive(Debug, Default)]
+struct TemplateMem {
+    name: String,
+    /// Alpha memory: live fact ids in assertion order (ids are
+    /// monotonic, so the list stays sorted).
+    alpha: Vec<FactId>,
+    /// Duplicate index: slot fingerprint → the live ids carrying it
+    /// (almost always one; collisions fall back to a slot comparison).
+    dup: FxHashMap<u64, IdVec>,
+    /// Equality-join index for the probed slots only: slot name → loose
+    /// value key → sorted live ids whose slot carries that value.
+    probes: Vec<(String, FxHashMap<u64, IdVec>)>,
+}
+
+/// Slab capacity a sweep keeps however few facts are live, so a store
+/// that empties and refills does not reallocate.
+const MIN_CAPACITY: usize = 16;
 
 /// Working memory: the engine's fact repository, indexed by template.
 #[derive(Debug, Default)]
 pub struct FactStore {
-    /// Fact slab: `slab[i]` holds the fact with id `base + i`.
-    /// Retraction tombstones the entry; dead entries at the front are
-    /// popped eagerly so memory tracks the live id span, not the
-    /// lifetime assert count.
-    slab: VecDeque<Option<Fact>>,
-    /// Id of `slab[0]`; the next fresh id is `base + slab.len()`.
-    base: u64,
-    /// Live fact count (slab entries minus tombstones).
+    /// Fact slab sorted by id: live facts and tombstones (`None`) left by
+    /// retraction, swept in bulk by [`FactStore::sweep`].
+    slab: Vec<(FactId, Option<Stored>)>,
+    /// Tombstones currently in `slab`.
+    dead: usize,
+    /// The next fresh id.
+    next_id: u64,
+    /// Live fact count.
     live: usize,
     /// Interner: template name → symbol.
-    tmpl_ids: HashMap<String, TemplateId>,
-    /// Symbol → template name (reverse of `tmpl_ids`).
-    tmpl_names: Vec<String>,
-    /// Alpha memories: per-template live fact ids, in assertion order
-    /// (fact ids are monotonic, so each list stays sorted). Indexed by
-    /// `TemplateId`.
-    alpha: Vec<Vec<FactId>>,
-    /// Duplicate index: per-template map from slot fingerprint to the
-    /// live ids carrying it (almost always one; collisions fall back to
-    /// a slot comparison). Indexed by `TemplateId`.
-    dup: Vec<HashMap<u64, Vec<FactId>>>,
-    /// Equality-join index: per-template, slot name → loose value key →
-    /// live ids whose slot carries that value. The engine's joins probe
-    /// it when a pattern pins a slot to a constant or an already-bound
-    /// variable, replacing the alpha-memory scan with a candidate-bucket
-    /// walk. Indexed by `TemplateId`.
-    eq_join: Vec<HashMap<String, HashMap<u64, Vec<FactId>>>>,
+    tmpl_ids: FxHashMap<String, TemplateId>,
+    /// Per-template memories, indexed by `TemplateId`.
+    tmpls: Vec<TemplateMem>,
 }
 
 impl FactStore {
@@ -204,12 +169,12 @@ impl FactStore {
         if let Some(&tid) = self.tmpl_ids.get(name) {
             return tid;
         }
-        let tid = TemplateId(self.tmpl_names.len() as u32);
+        let tid = TemplateId(self.tmpls.len() as u32);
         self.tmpl_ids.insert(name.to_string(), tid);
-        self.tmpl_names.push(name.to_string());
-        self.alpha.push(Vec::new());
-        self.dup.push(HashMap::new());
-        self.eq_join.push(HashMap::new());
+        self.tmpls.push(TemplateMem {
+            name: name.to_string(),
+            ..TemplateMem::default()
+        });
         tid
     }
 
@@ -220,12 +185,14 @@ impl FactStore {
 
     /// The name behind a template symbol.
     pub fn template_name(&self, tid: TemplateId) -> &str {
-        &self.tmpl_names[tid.0 as usize]
+        &self.tmpls[tid.0 as usize].name
     }
 
     /// The alpha memory of a template: live fact ids in assertion order.
     pub fn ids_of(&self, tid: TemplateId) -> &[FactId] {
-        self.alpha.get(tid.0 as usize).map_or(&[], Vec::as_slice)
+        self.tmpls
+            .get(tid.0 as usize)
+            .map_or(&[], |m| m.alpha.as_slice())
     }
 
     /// Facts of one template by symbol, in assertion order.
@@ -235,18 +202,49 @@ impl FactStore {
             .map(move |&id| (id, self.get(id).expect("alpha ids are live")))
     }
 
+    /// Index `slot` of template `tid` for equality probes, backfilling
+    /// the index from the facts already live. Idempotent. Returns the
+    /// slot's position among the template's probed slots (the engine's
+    /// compiled patterns probe by position).
+    pub fn index_slot(&mut self, tid: TemplateId, slot: &str) -> usize {
+        let mem = &self.tmpls[tid.0 as usize];
+        if let Some(pos) = mem.probes.iter().position(|(s, _)| s == slot) {
+            return pos;
+        }
+        let mut by_val: FxHashMap<u64, IdVec> = FxHashMap::default();
+        for &id in &mem.alpha {
+            let fact = &self.slab[self.pos(id).expect("alpha ids are live")].1;
+            if let Some(v) = fact.as_ref().and_then(|s| s.fact.get(slot)) {
+                by_val.entry(v.loose_key()).or_default().push(id);
+            }
+        }
+        let probes = &mut self.tmpls[tid.0 as usize].probes;
+        probes.push((slot.to_string(), by_val));
+        probes.len() - 1
+    }
+
     /// Candidate live ids of `tid` facts whose `slot` holds a value
     /// loosely equal to `v` (numeric coercion applies: probing with
     /// `Int(3)` finds facts holding `Float(3.0)`), in assertion order.
-    /// The bucket is keyed by hash, so rare collisions can surface
-    /// non-matching ids — callers must re-verify each candidate against
-    /// the pattern, exactly as they would after an alpha-memory scan.
+    /// Only slots declared with [`FactStore::index_slot`] are indexed;
+    /// any other slot yields nothing. The bucket is keyed by hash, so
+    /// rare collisions can surface non-matching ids — callers must
+    /// re-verify each candidate against the pattern, exactly as they
+    /// would after an alpha-memory scan.
     pub fn ids_with_slot(&self, tid: TemplateId, slot: &str, v: &Value) -> &[FactId] {
-        self.eq_join
+        self.tmpls
             .get(tid.0 as usize)
-            .and_then(|ej| ej.get(slot))
-            .and_then(|by_val| by_val.get(&loose_value_key(v)))
-            .map_or(&[], Vec::as_slice)
+            .and_then(|m| m.probes.iter().position(|(s, _)| s == slot))
+            .map_or(&[], |probe| self.ids_probed(tid, probe, v))
+    }
+
+    /// [`FactStore::ids_with_slot`] by probe position (as returned by
+    /// [`FactStore::index_slot`]) — no slot-name comparison.
+    pub(crate) fn ids_probed(&self, tid: TemplateId, probe: usize, v: &Value) -> &[FactId] {
+        self.tmpls[tid.0 as usize].probes[probe]
+            .1
+            .get(&v.loose_key())
+            .map_or(&[], IdVec::as_slice)
     }
 
     /// Assert a fact. Duplicate facts (same template and slots) are not
@@ -264,26 +262,25 @@ impl FactStore {
     pub fn assert_fact_interned(&mut self, fact: Fact) -> (FactId, bool, TemplateId) {
         let tid = self.intern_template(&fact.template);
         let fp = slots_fingerprint(&fact.slots);
-        if let Some(ids) = self.dup[tid.0 as usize].get(&fp) {
-            for &id in ids {
+        if let Some(ids) = self.tmpls[tid.0 as usize].dup.get(&fp) {
+            for &id in ids.as_slice() {
                 if self.get(id).is_some_and(|f| f.slots == fact.slots) {
                     return (id, false, tid);
                 }
             }
         }
-        let id = FactId(self.base + self.slab.len() as u64);
-        let ej = &mut self.eq_join[tid.0 as usize];
-        for (slot, v) in &fact.slots {
-            ej.entry(slot.clone())
-                .or_default()
-                .entry(loose_value_key(v))
-                .or_default()
-                .push(id);
+        let id = FactId(self.next_id);
+        self.next_id += 1;
+        let mem = &mut self.tmpls[tid.0 as usize];
+        for (slot, by_val) in &mut mem.probes {
+            if let Some(v) = fact.slots.get(slot.as_str()) {
+                by_val.entry(v.loose_key()).or_default().push(id);
+            }
         }
-        self.slab.push_back(Some(fact));
+        mem.alpha.push(id);
+        mem.dup.entry(fp).or_default().push(id);
+        self.slab.push((id, Some(Stored { tid, fp, fact })));
         self.live += 1;
-        self.alpha[tid.0 as usize].push(id);
-        self.dup[tid.0 as usize].entry(fp).or_default().push(id);
         (id, true, tid)
     }
 
@@ -295,42 +292,27 @@ impl FactStore {
     /// [`FactStore::retract`], additionally returning the template
     /// symbol of the retracted fact.
     pub fn retract_interned(&mut self, id: FactId) -> Option<(Fact, TemplateId)> {
-        let ix = self.slot_ix(id)?;
-        let fact = self.slab.get_mut(ix)?.take()?;
+        let pos = self.pos(id)?;
+        let Stored { tid, fp, fact } = self.slab[pos].1.take()?;
         self.live -= 1;
-        let tid = self.tmpl_ids[&fact.template];
-        let alpha = &mut self.alpha[tid.0 as usize];
-        if let Ok(pos) = alpha.binary_search(&id) {
-            alpha.remove(pos);
+        self.dead += 1;
+        let mem = &mut self.tmpls[tid.0 as usize];
+        if let Ok(at) = mem.alpha.binary_search(&id) {
+            mem.alpha.remove(at);
         }
-        let fp = slots_fingerprint(&fact.slots);
-        if let Some(ids) = self.dup[tid.0 as usize].get_mut(&fp) {
-            ids.retain(|&x| x != id);
-            if ids.is_empty() {
-                self.dup[tid.0 as usize].remove(&fp);
+        unindex(&mut mem.dup, fp, id);
+        for (slot, by_val) in &mut mem.probes {
+            if let Some(v) = fact.slots.get(slot.as_str()) {
+                unindex(by_val, v.loose_key(), id);
             }
         }
-        let ej = &mut self.eq_join[tid.0 as usize];
-        for (slot, v) in &fact.slots {
-            if let Some(by_val) = ej.get_mut(slot.as_str()) {
-                let key = loose_value_key(v);
-                if let Some(ids) = by_val.get_mut(&key) {
-                    if let Ok(pos) = ids.binary_search(&id) {
-                        ids.remove(pos);
-                    }
-                    if ids.is_empty() {
-                        by_val.remove(&key);
-                    }
-                }
-            }
-        }
-        self.reclaim_prefix();
+        self.sweep();
         Some((fact, tid))
     }
 
     /// Look up a fact.
     pub fn get(&self, id: FactId) -> Option<&Fact> {
-        self.slab.get(self.slot_ix(id)?)?.as_ref()
+        self.slab[self.pos(id)?].1.as_ref().map(|s| &s.fact)
     }
 
     /// Number of live facts.
@@ -345,11 +327,9 @@ impl FactStore {
 
     /// Iterate facts in assertion order.
     pub fn iter(&self) -> impl Iterator<Item = (FactId, &Fact)> {
-        let base = self.base;
         self.slab
             .iter()
-            .enumerate()
-            .filter_map(move |(i, f)| f.as_ref().map(|f| (FactId(base + i as u64), f)))
+            .filter_map(|(id, s)| s.as_ref().map(|s| (*id, &s.fact)))
     }
 
     /// Iterate facts of one template, in assertion order (via the
@@ -368,32 +348,69 @@ impl FactStore {
         let Some(tid) = self.template_id(template) else {
             return 0;
         };
-        let ids = std::mem::take(&mut self.alpha[tid.0 as usize]);
+        let mem = &mut self.tmpls[tid.0 as usize];
+        let ids = std::mem::take(&mut mem.alpha);
+        mem.dup.clear();
+        for (_, by_val) in &mut mem.probes {
+            by_val.clear();
+        }
         for &id in &ids {
-            if let Some(slot) = self.slot_ix(id).and_then(|ix| self.slab.get_mut(ix)) {
-                if slot.take().is_some() {
+            if let Some(pos) = self.pos(id) {
+                if self.slab[pos].1.take().is_some() {
                     self.live -= 1;
+                    self.dead += 1;
                 }
             }
         }
-        self.dup[tid.0 as usize].clear();
-        self.eq_join[tid.0 as usize].clear();
-        self.reclaim_prefix();
+        self.sweep();
         ids.len()
     }
 
-    /// Slab offset of an id, if the id is at least as new as the
-    /// reclaimed prefix (ids below `base` are long retracted).
-    fn slot_ix(&self, id: FactId) -> Option<usize> {
-        id.0.checked_sub(self.base).map(|off| off as usize)
+    /// Slab position of a live or tombstoned id.
+    fn pos(&self, id: FactId) -> Option<usize> {
+        self.slab.binary_search_by_key(&id, |e| e.0).ok()
     }
 
-    /// Pop leading tombstones so the slab's footprint follows the live
-    /// id span rather than the lifetime assert count.
-    fn reclaim_prefix(&mut self) {
-        while matches!(self.slab.front(), Some(None)) {
-            self.slab.pop_front();
-            self.base += 1;
+    /// Drop the tombstones once they outnumber the live entries, so the
+    /// slab holds at most about twice the live facts whatever their ids;
+    /// release spare capacity left behind by a burst. A sweep costs
+    /// O(slab) and follows at least as many retractions, so retraction
+    /// stays amortized O(1).
+    fn sweep(&mut self) {
+        if self.dead * 2 <= self.slab.len() {
+            return;
+        }
+        self.slab.retain(|(_, s)| s.is_some());
+        self.dead = 0;
+        let floor = 2 * self.slab.len().max(MIN_CAPACITY);
+        if self.slab.capacity() > 2 * floor {
+            self.slab.shrink_to(floor);
+        }
+    }
+
+    /// Entries held across the slab and every index — the store's
+    /// footprint in units that do not depend on fact size.
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> usize {
+        self.slab.len()
+            + self
+                .tmpls
+                .iter()
+                .map(|m| {
+                    m.alpha.len()
+                        + m.dup.len()
+                        + m.probes.iter().map(|(_, b)| b.len()).sum::<usize>()
+                })
+                .sum::<usize>()
+    }
+}
+
+/// Remove `id` from an index bucket, dropping the bucket once empty.
+fn unindex(index: &mut FxHashMap<u64, IdVec>, key: u64, id: FactId) {
+    if let Some(ids) = index.get_mut(&key) {
+        ids.remove(id);
+        if ids.is_empty() {
+            index.remove(&key);
         }
     }
 }
@@ -492,7 +509,9 @@ mod tests {
         // `loose_eq` coerces Int and Float, so the index key must too:
         // probing with Int(1) finds a fact whose slot holds Float(1.0).
         let mut s = FactStore::new();
-        let (a, _, tid) = s.assert_fact_interned(Fact::new("m").with("pid", 1.0).with("x", "p"));
+        let tid = s.intern_template("m");
+        s.index_slot(tid, "pid");
+        let (a, _) = s.assert_fact(Fact::new("m").with("pid", 1.0).with("x", "p"));
         let (b, _) = s.assert_fact(Fact::new("m").with("pid", 2i64).with("x", "q"));
         assert_eq!(s.ids_with_slot(tid, "pid", &Value::Int(1)), &[a]);
         assert_eq!(s.ids_with_slot(tid, "pid", &Value::Float(2.0)), &[b]);
@@ -509,7 +528,10 @@ mod tests {
     #[test]
     fn eq_join_index_tracks_retract() {
         let mut s = FactStore::new();
-        let (a, _, tid) = s.assert_fact_interned(violation(1, 20.0));
+        let tid = s.intern_template("violation");
+        s.index_slot(tid, "fps");
+        s.index_slot(tid, "pid");
+        let (a, _) = s.assert_fact(violation(1, 20.0));
         let (b, _) = s.assert_fact(violation(2, 20.0));
         assert_eq!(s.ids_with_slot(tid, "fps", &Value::Float(20.0)), &[a, b]);
         s.retract(a);
@@ -528,7 +550,9 @@ mod tests {
     #[test]
     fn eq_join_index_cleared_by_retract_template() {
         let mut s = FactStore::new();
-        let (_, _, tid) = s.assert_fact_interned(violation(1, 20.0));
+        let tid = s.intern_template("violation");
+        s.index_slot(tid, "pid");
+        s.assert_fact(violation(1, 20.0));
         s.assert_fact(violation(2, 25.0));
         s.retract_template("violation");
         assert_eq!(
@@ -558,6 +582,23 @@ mod tests {
     }
 
     #[test]
+    fn index_slot_backfills_live_facts_and_skips_unprobed_slots() {
+        let mut s = FactStore::new();
+        let (a, _, tid) = s.assert_fact_interned(violation(1, 20.0));
+        let (b, _) = s.assert_fact(violation(2, 20.0));
+        // Nothing probes `fps` yet, so nothing indexes it.
+        assert_eq!(
+            s.ids_with_slot(tid, "fps", &Value::Float(20.0)),
+            &[] as &[FactId]
+        );
+        let probe = s.index_slot(tid, "fps");
+        assert_eq!(s.index_slot(tid, "fps"), probe, "idempotent");
+        assert_eq!(s.ids_probed(tid, probe, &Value::Int(20)), &[a, b]);
+        let (c, _) = s.assert_fact(violation(3, 20.0));
+        assert_eq!(s.ids_with_slot(tid, "fps", &Value::Float(20.0)), &[a, b, c]);
+    }
+
+    #[test]
     fn slab_reclaims_dead_prefix() {
         // A long-lived assert/retract churn (one violation per report)
         // must not grow the slab with the lifetime assert count.
@@ -573,10 +614,38 @@ mod tests {
             "dead prefix reclaimed, slab holds {} slots",
             s.slab.len()
         );
-        assert_eq!(s.base, 1_000, "base tracks the retired id span");
+        assert_eq!(s.next_id, 1_000, "the id counter tracks the retired span");
         // Fresh ids continue monotonically after reclamation.
         let (id, _) = s.assert_fact(violation(7, 7.0));
         assert_eq!(id, FactId(1_000));
         assert_eq!(s.get(id).unwrap().get("pid"), Some(&Value::Int(7)));
+    }
+
+    #[test]
+    fn footprint_stays_bounded_with_a_pinned_base_fact() {
+        // A base fact asserted first and never retracted (a host
+        // manager's threshold) holds the lowest live id. Churn behind it
+        // must still leave the footprint O(live), not O(asserts).
+        let mut s = FactStore::new();
+        let tid = s.intern_template("violation");
+        s.index_slot(tid, "pid");
+        let (base, _) = s.assert_fact(Fact::new("threshold").with("value", 1000.0));
+        let mut peak = 0;
+        for i in 0..100_000 {
+            let (id, fresh) = s.assert_fact(violation(i % 7, i as f64 + 0.5));
+            assert!(fresh);
+            s.retract(id);
+            peak = peak.max(s.footprint());
+        }
+        assert_eq!(s.len(), 1);
+        assert!(peak <= 12, "footprint peaked at {peak} entries");
+        assert!(s.slab.capacity() <= 4 * MIN_CAPACITY);
+        assert_eq!(
+            s.get(base).unwrap().get("value"),
+            Some(&Value::Float(1000.0))
+        );
+        let (id, _) = s.assert_fact(violation(7, 7.0));
+        assert_eq!(id, FactId(100_001), "ids stay monotonic, never reused");
+        assert_eq!(s.iter().map(|(id, _)| id).collect::<Vec<_>>(), [base, id]);
     }
 }

@@ -78,6 +78,29 @@ impl IdVec {
         }
     }
 
+    /// Remove the first occurrence of `id`, keeping the order of the
+    /// rest; false when absent.
+    pub fn remove(&mut self, id: FactId) -> bool {
+        match self {
+            IdVec::Inline { len, buf } => {
+                let n = *len as usize;
+                let Some(pos) = buf[..n].iter().position(|&x| x == id) else {
+                    return false;
+                };
+                buf.copy_within(pos + 1..n, pos);
+                *len -= 1;
+                true
+            }
+            IdVec::Heap(v) => match v.iter().position(|&x| x == id) {
+                Some(pos) => {
+                    v.remove(pos);
+                    true
+                }
+                None => false,
+            },
+        }
+    }
+
     /// Number of ids.
     #[allow(dead_code)] // exercised by tests; kept for API symmetry
     pub fn len(&self) -> usize {
@@ -85,8 +108,7 @@ impl IdVec {
     }
 
     /// True when no ids are recorded (a rule with an empty left-hand
-    /// side).
-    #[allow(dead_code)] // exercised by tests; kept for API symmetry
+    /// side, or an index bucket whose last fact left).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -181,6 +203,17 @@ mod tests {
         }
         assert!(matches!(v, IdVec::Heap(_)));
         assert_eq!(v.len(), 6);
+    }
+
+    #[test]
+    fn remove_keeps_order_inline_and_heap() {
+        let mut short = iv(&[3, 1, 2]);
+        assert!(short.remove(FactId(1)));
+        assert!(!short.remove(FactId(9)));
+        assert_eq!(short, iv(&[3, 2]));
+        let mut long = iv(&[1, 2, 3, 4, 5, 6]);
+        assert!(long.remove(FactId(2)));
+        assert_eq!(long.as_slice(), iv(&[1, 3, 4, 5, 6]).as_slice());
     }
 
     #[test]

@@ -43,8 +43,10 @@
 #![allow(clippy::len_without_is_empty)]
 
 pub mod clips;
+mod compiled;
 pub mod engine;
 pub mod fact;
+mod hash;
 mod idvec;
 pub mod pattern;
 pub mod rule;

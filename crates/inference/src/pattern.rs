@@ -1,13 +1,44 @@
 //! Patterns: the left-hand-side constraints of rules, matched against
 //! facts with variable binding.
-
-use std::collections::HashMap;
+//!
+//! This is the rule *source* form and its reference semantics: a pattern
+//! matched here binds variables by name. The engine does not match
+//! these directly; it compiles each rule once (see `compiled`) into
+//! patterns whose variables are numbered, and uses the by-name matcher
+//! only in its naive oracle ([`crate::rule::Rule::activations`]).
 
 use crate::fact::Fact;
 use crate::value::{CmpOp, Value};
 
-/// Variable bindings accumulated while joining a rule's patterns.
-pub type Bindings = HashMap<String, Value>;
+/// Variable bindings accumulated while joining a rule's patterns, by
+/// name: a short list, since a rule binds a handful of variables.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Bindings(Vec<(String, Value)>);
+
+impl Bindings {
+    /// No bindings.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The value bound to `name`.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.0.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    /// Bind `name`, replacing any earlier binding.
+    pub fn insert(&mut self, name: String, v: Value) {
+        match self.0.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, old)) => *old = v,
+            None => self.0.push((name, v)),
+        }
+    }
+
+    /// True when nothing is bound.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
 
 /// Constraint on one slot of a fact.
 #[derive(Clone, Debug, PartialEq)]

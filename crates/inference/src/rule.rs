@@ -142,9 +142,20 @@ impl Rule {
     /// Compute all complete matches of this rule against working memory.
     /// Each activation records the ids of the facts matched by positive
     /// condition elements, in order. This is the reference (full
-    /// recompute) join; the engine normally matches incrementally and
-    /// uses this shape only through its naive-matcher oracle.
+    /// recompute, by-name bindings) join; the engine matches compiled
+    /// rules incrementally and uses this one only as its naive oracle.
     pub fn activations(&self, facts: &FactStore) -> Vec<(Vec<FactId>, Bindings)> {
+        self.activations_counted(facts, &mut 0)
+    }
+
+    /// [`Rule::activations`], counting into `work` every fact visited —
+    /// template matches and misses alike, per condition element per
+    /// partial match: what the original matcher examined each cycle.
+    pub(crate) fn activations_counted(
+        &self,
+        facts: &FactStore,
+        work: &mut u64,
+    ) -> Vec<(Vec<FactId>, Bindings)> {
         // Left-to-right join. `partial` holds (matched positive fact ids,
         // bindings) tuples surviving all CEs so far.
         let mut partial: Vec<(Vec<FactId>, Bindings)> = vec![(Vec::new(), Bindings::new())];
@@ -153,13 +164,14 @@ impl Rule {
                 Ce::Pos(p) => {
                     let mut next = Vec::new();
                     for (ids, b) in &partial {
-                        for (fid, fact) in facts.by_template(&p.template) {
+                        for (fid, fact) in facts.iter() {
+                            *work += 1;
                             // A fact may not be matched twice by one rule
                             // instantiation.
-                            if ids.contains(&fid) {
+                            if fact.template != p.template || ids.contains(&fid) {
                                 continue;
                             }
-                            if let Some(nb) = p.match_fact(fact, b) {
+                            if let Some(nb) = p.match_slots(fact, b) {
                                 let mut nids = ids.clone();
                                 nids.push(fid);
                                 next.push((nids, nb));
@@ -170,14 +182,18 @@ impl Rule {
                 }
                 Ce::Neg(p) => {
                     partial.retain(|(_, b)| {
-                        !facts
-                            .by_template(&p.template)
-                            .any(|(_, fact)| p.match_fact(fact, b).is_some())
+                        let mut blocked = false;
+                        for (_, fact) in facts.iter() {
+                            *work += 1;
+                            if fact.template == p.template && p.match_slots(fact, b).is_some() {
+                                blocked = true;
+                                break;
+                            }
+                        }
+                        !blocked
                     });
                 }
-                Ce::Test(t) => {
-                    partial.retain(|(_, b)| t.eval(b));
-                }
+                Ce::Test(t) => partial.retain(|(_, b)| t.eval(b)),
             }
             if partial.is_empty() {
                 break;

@@ -1,14 +1,22 @@
 //! Slot values for facts.
+//!
+//! Symbols and strings are shared `Arc<str>`s: a value travels from a
+//! fact into join frames, invocation arguments and derived facts, and
+//! each of those copies is a reference-count bump, not an allocation.
 
 use core::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+use crate::hash::FxHasher;
 
 /// A value stored in a fact slot or used in a rule constraint.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// An unquoted symbol, e.g. `remote-fault`.
-    Sym(String),
+    Sym(Arc<str>),
     /// A quoted string.
-    Str(String),
+    Str(Arc<str>),
     /// A 64-bit integer.
     Int(i64),
     /// A double-precision float.
@@ -19,13 +27,13 @@ pub enum Value {
 
 impl Value {
     /// Symbol constructor.
-    pub fn sym(s: impl Into<String>) -> Self {
-        Value::Sym(s.into())
+    pub fn sym(s: impl AsRef<str>) -> Self {
+        Value::Sym(Arc::from(s.as_ref()))
     }
 
     /// String constructor.
-    pub fn str(s: impl Into<String>) -> Self {
-        Value::Str(s.into())
+    pub fn str(s: impl AsRef<str>) -> Self {
+        Value::Str(Arc::from(s.as_ref()))
     }
 
     /// Numeric view: integers and floats are mutually comparable.
@@ -50,6 +58,51 @@ impl Value {
         let (a, b) = (self.as_f64()?, other.as_f64()?);
         a.partial_cmp(&b)
     }
+
+    /// Hash key consistent with [`Value::loose_eq`]: loosely equal
+    /// values key equal, so `Int(3)` and `Float(3.0)` share a numeric
+    /// key (both hash the `f64` view, with `-0.0` normalized to `0.0`).
+    /// Distinct values may collide; users of the key re-verify.
+    pub(crate) fn loose_key(&self) -> u64 {
+        let mut h = FxHasher::default();
+        match self {
+            Value::Int(i) => norm_f64_bits(*i as f64).hash(&mut h),
+            Value::Float(f) => norm_f64_bits(*f).hash(&mut h),
+            _ => self.hash_strict(&mut h),
+        }
+        h.finish()
+    }
+
+    /// Feed the value to a hasher consistently with the derived strict
+    /// equality (`Int(3) != Float(3.0)`, but `0.0 == -0.0`).
+    pub(crate) fn hash_strict(&self, h: &mut impl Hasher) {
+        match self {
+            Value::Sym(s) => {
+                0u8.hash(h);
+                s.hash(h);
+            }
+            Value::Str(s) => {
+                1u8.hash(h);
+                s.hash(h);
+            }
+            Value::Int(i) => {
+                2u8.hash(h);
+                i.hash(h);
+            }
+            Value::Float(f) => {
+                3u8.hash(h);
+                norm_f64_bits(*f).hash(h);
+            }
+            Value::Bool(b) => {
+                4u8.hash(h);
+                b.hash(h);
+            }
+        }
+    }
+}
+
+fn norm_f64_bits(f: f64) -> u64 {
+    (if f == 0.0 { 0.0 } else { f }).to_bits()
 }
 
 impl fmt::Display for Value {
@@ -81,7 +134,7 @@ impl From<bool> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Sym(v.to_string())
+        Value::sym(v)
     }
 }
 

@@ -57,7 +57,7 @@ use qos_wire::{BatchBuilder, WireMsg, WireMsgRef};
 use crate::rules::{host_base_facts, host_rules_fair};
 use crate::transport::{
     ChannelTransport, FlushPolicy, Inbound, ReplySink, SinkSend, SockAddr, SockListener,
-    WireTransport,
+    SockStream, WireTransport,
 };
 
 /// Capacity of the manager's message queue. Bounded so a violation storm
@@ -632,7 +632,6 @@ impl LiveBuilder {
             ListenSpec::Sock(addr) => {
                 let listener = SockListener::bind(&addr).map_err(LiveError::Listen)?;
                 let bound = listener.local_addr().map_err(LiveError::Listen)?;
-                listener.set_nonblocking(true).map_err(LiveError::Listen)?;
                 match self.driver {
                     Driver::Threads => {
                         let tx2 = tx.clone();
@@ -645,6 +644,7 @@ impl LiveBuilder {
                     }
                     #[cfg(target_os = "linux")]
                     Driver::Reactor => {
+                        listener.set_nonblocking(true).map_err(LiveError::Listen)?;
                         let mut out = OutQueueConfig::default();
                         if let Some(f) = self.flush {
                             out.max_bytes = f.max_bytes.saturating_mul(16).max(out.max_bytes);
@@ -787,7 +787,17 @@ impl LiveHostManager {
     fn stop(&mut self) {
         self.stop_accept.store(true, Ordering::Relaxed);
         if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+            // The acceptor blocks in `accept`: one connection of our own
+            // wakes it to see the flag. Should the dial fail, the
+            // acceptor is left to exit with the process rather than hang
+            // the join.
+            let woken = self
+                .bound
+                .as_ref()
+                .is_some_and(|b| SockStream::connect(b).is_ok());
+            if woken {
+                let _ = a.join();
+            }
         }
         // The reactor goes down before the manager thread: a worker
         // blocked on the manager's full inbound queue only drains while
@@ -991,11 +1001,15 @@ impl ManagerCore {
     }
 
     /// Record a lifecycle event in the manager's own telemetry (event
-    /// buffer + attached recorder) and stage it for subscribers.
-    fn emit(&mut self, ev: TraceEvent) {
+    /// buffer + attached recorder) and stage it for subscribers. The
+    /// event is built only when one of them will keep it: with an inert
+    /// telemetry handle and nobody subscribed, a report costs no event
+    /// construction at all.
+    fn emit(&mut self, make: impl FnOnce() -> TraceEvent) {
         if self.subs.is_empty() {
-            self.telemetry.event(|| ev);
+            self.telemetry.event(make);
         } else {
+            let ev = make();
             self.telemetry.event(|| ev.clone());
             self.staged.push(ev);
         }
@@ -1019,7 +1033,7 @@ impl ManagerCore {
                 self.stats.registrations.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.counter("live.registered", &process).inc();
                 let at_us = self.clock.now_us();
-                self.emit(TraceEvent {
+                self.emit(|| TraceEvent {
                     at_us,
                     corr: 0,
                     stage: Stage::Mark,
@@ -1042,7 +1056,7 @@ impl ManagerCore {
                 // its `at_us` would scramble per-stage latencies.
                 let corr = if corr != 0 { corr } else { self.mint_corr() };
                 let now = self.clock.now_us();
-                self.emit(TraceEvent {
+                self.emit(|| TraceEvent {
                     at_us: now,
                     corr,
                     stage: Stage::Detect,
@@ -1050,7 +1064,7 @@ impl ManagerCore {
                     name: policy.clone(),
                     fields: readings.clone(),
                 });
-                self.emit(TraceEvent {
+                self.emit(|| TraceEvent {
                     at_us: now,
                     corr,
                     stage: Stage::Report,
@@ -1078,12 +1092,13 @@ impl ManagerCore {
                 self.stats
                     .rules_fired
                     .fetch_add(run.fired, Ordering::Relaxed);
-                self.emit(TraceEvent {
-                    at_us: self.clock.now_us(),
+                let at_us = self.clock.now_us();
+                self.emit(|| TraceEvent {
+                    at_us,
                     corr,
                     stage: Stage::Diagnose,
                     component: "host-manager".into(),
-                    name: policy.clone(),
+                    name: policy,
                     fields: vec![("fired".into(), run.fired as f64)],
                 });
                 for inv in self.engine.take_invocations() {
@@ -1095,8 +1110,9 @@ impl ManagerCore {
                     if step != 0 {
                         self.stats.boost_level.fetch_add(step, Ordering::Relaxed);
                     }
-                    self.emit(TraceEvent {
-                        at_us: self.clock.now_us(),
+                    let at_us = self.clock.now_us();
+                    self.emit(|| TraceEvent {
+                        at_us,
                         corr,
                         stage: Stage::Adapt,
                         component: "host-manager".into(),
@@ -1296,8 +1312,12 @@ impl EventSink for MgrSink {
 /// thread that reframes the byte stream and forwards raw frames to the
 /// manager queue; replies (sync acks) go back over the same connection.
 fn accept_loop(listener: SockListener, tx: Sender<Inbound>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Relaxed) {
+            return; // the shutdown wake-up (or a peer racing it)
+        }
+        match accepted {
             Ok(stream) => {
                 let tx = tx.clone();
                 let conn = std::thread::Builder::new()
@@ -1309,13 +1329,9 @@ fn accept_loop(listener: SockListener, tx: Sender<Inbound>, stop: Arc<AtomicBool
                 // reconnect machinery will try again.
                 drop(conn);
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            // Transient accept failures (a peer that reset before we
+            // accepted it, fd exhaustion): back off briefly and retry.
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
 }
@@ -1324,7 +1340,7 @@ fn accept_loop(listener: SockListener, tx: Sender<Inbound>, stop: Arc<AtomicBool
 /// frames (no payload decode here — that is the manager thread's job, so
 /// decode errors are counted in one place). Exits when the peer closes,
 /// the stream corrupts, or the manager is gone.
-fn conn_loop(stream: crate::transport::SockStream, tx: Sender<Inbound>) {
+fn conn_loop(stream: SockStream, tx: Sender<Inbound>) {
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(parking_lot::Mutex::new(w)),
         Err(_) => return,
