@@ -1,9 +1,9 @@
-//! E17 / C10k live-mode driver comparison: the thread-per-peer driver
-//! and the epoll reactor serving the same UDS violation-report workload
-//! from the same sans-io protocol machines. Three runs — threads at a
-//! thread-friendly peer count, the reactor at the same count, and the
-//! reactor alone at a four-digit count the blocking driver cannot hold —
-//! each measuring:
+//! E17 / C10k live-mode driver comparison: the inline driver (the
+//! manager thread's own epoll loop) and the epoll reactor (a worker pool
+//! feeding the manager's queue) serving the same UDS violation-report
+//! workload from the same sans-io protocol machines. Three runs — inline
+//! and the reactor at a small peer count, and the reactor alone at a
+//! four-digit count — each measuring:
 //!
 //! * **connection ramp** — connects + registrations per second until
 //!   every peer is live;
@@ -12,8 +12,8 @@
 //!   socket) with every peer reporting concurrently;
 //! * **p95 ingest RTT** — violation write → sync ack round trip, the
 //!   end-to-end "my report was processed" latency a peer observes;
-//! * **wakeups/msg** — reactor only: epoll wakeups per inbound frame,
-//!   the batching figure of merit for the poller.
+//! * **wakeups/msg** — epoll wakeups per inbound frame (the reactor's
+//!   poller, or the inline manager loop), the batching figure of merit.
 //!
 //! Flags: `--smoke` (fewer peers/rounds for CI), `--json <path>`
 //! (result rows; written only when a path is given), `--assert-budget
@@ -84,7 +84,7 @@ mod linux {
     /// violations per peer flat out, then sample sync round trips.
     fn run(driver: Driver, peers: usize, rounds: u64) -> RunResult {
         let label = match driver {
-            Driver::Threads => "threads",
+            Driver::Inline => "inline",
             Driver::Reactor => "reactor",
         };
         let path = temp_sock(&format!("{label}-{peers}"));
@@ -228,12 +228,12 @@ mod linux {
             (64, 1024, 64, 3)
         };
         eprintln!(
-            "c10k live-mode drivers: threads@{small}, reactor@{small}, reactor@{big} \
+            "c10k live-mode drivers: inline@{small}, reactor@{small}, reactor@{big} \
              ({rounds} violations per peer, best of {reps})..."
         );
 
         let results = [
-            run_best(Driver::Threads, small, rounds, reps),
+            run_best(Driver::Inline, small, rounds, reps),
             run_best(Driver::Reactor, small, rounds, reps),
             run_best(Driver::Reactor, big, rounds, reps),
         ];
@@ -272,7 +272,7 @@ mod linux {
                     .metric("wakeups_per_msg", r.wakeups_per_msg),
             );
         }
-        println!("C10k live mode: thread-per-peer vs epoll reactor (UDS, 4 workers)");
+        println!("C10k live mode: inline manager loop vs epoll reactor (UDS, 4 workers)");
         println!("{}", t.render());
 
         let big_run = &results[2];

@@ -54,6 +54,18 @@ impl ViolationReport {
         }
     }
 
+    /// The wire form of this report, moving its strings rather than
+    /// cloning them (the sending side's hot path).
+    pub fn into_wire(self) -> qos_wire::messages::LiveViolationMsg {
+        qos_wire::messages::LiveViolationMsg {
+            policy: self.policy,
+            process: self.process,
+            at_us: self.at_us,
+            corr: self.corr,
+            readings: self.readings,
+        }
+    }
+
     /// Rebuild a report from its wire form (the receiving side of a
     /// live-mode transport).
     pub fn from_wire(m: qos_wire::messages::LiveViolationMsg) -> ViolationReport {
@@ -94,5 +106,6 @@ mod tests {
             readings: vec![("frame_rate".into(), 18.0), ("buffer_size".into(), 9000.0)],
         };
         assert_eq!(ViolationReport::from_wire(r.to_wire()), r);
+        assert_eq!(r.clone().into_wire(), r.to_wire());
     }
 }

@@ -15,13 +15,15 @@
 //! `live.decode_errors`), never a panic.
 //!
 //! Socket peers are served by one of two interchangeable [`Driver`]s
-//! over the same `qos-net` protocol machines: [`Driver::Threads`] (one
-//! blocking reader thread per peer — portable, the pre-reactor shape)
-//! or [`Driver::Reactor`] (the hand-rolled epoll reactor: every peer
-//! multiplexed onto a small worker pool, the C10k configuration; Linux
-//! only). Both feed the identical [`ManagerCore`](self) inbound queue,
-//! so rule firing traces are driver-independent. Construction goes
-//! through [`LiveHostManager::builder`]:
+//! over the same `qos-net` protocol machines: [`Driver::Inline`] (the
+//! default: the manager thread runs its own epoll loop over the
+//! listener and every peer, and handles each frame where it reads it —
+//! no reader thread, no queue hop) or [`Driver::Reactor`] (the
+//! hand-rolled epoll reactor: every peer multiplexed onto a small
+//! worker pool that feeds the manager's inbound queue, the C10k
+//! configuration). Both are Linux only. Rule firing traces are
+//! driver-independent. Construction goes through
+//! [`LiveHostManager::builder`]:
 //!
 //! ```no_run
 //! use qos_manager::live::{Driver, ListenSpec, LiveHostManager};
@@ -34,30 +36,33 @@
 //!     .expect("spawn manager");
 //! ```
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::io::Read;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+#[cfg(not(target_os = "linux"))]
+use crossbeam::channel::RecvTimeoutError;
+#[cfg(target_os = "linux")]
+use crossbeam::channel::TryRecvError;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use qos_inference::prelude::*;
 use qos_instrument::prelude::*;
-use qos_net::PeerReader;
 #[cfg(target_os = "linux")]
-use qos_net::{EventSink, NetStats, OutQueueConfig, PeerSender, ReactorConfig, ReactorHandle};
+use qos_net::{
+    Enqueue, EventSink, FrameHandler, InlineNet, NetStats, OutQueueConfig, PeerOutQueue,
+    PeerSender, ReactorConfig, ReactorHandle, SendClass,
+};
 use qos_repository::prelude::*;
 use qos_telemetry::{Counter, Histogram, Stage, Telemetry, TraceEvent};
-use qos_wire::messages::{
-    LiveRegisterMsg, LiveViolationMsg, TelemetryBatchMsg, TelemetrySubscribeMsg,
-};
-use qos_wire::{BatchBuilder, WireMsg, WireMsgRef};
+use qos_wire::messages::{LiveRegisterMsg, TelemetryBatchMsg, TelemetrySubscribeMsg};
+use qos_wire::{BatchBuilder, LiveViolationMsgRef, WireMsg, WireMsgRef};
 
 use crate::rules::{host_base_facts, host_rules_fair};
 use crate::transport::{
-    ChannelTransport, FlushPolicy, Inbound, ReplySink, SinkSend, SockAddr, SockListener,
-    SockStream, WireTransport,
+    ChannelTransport, FlushPolicy, Inbound, Inlet, ReplySink, SinkSend, SockAddr, SockListener,
+    WireTransport,
 };
 
 /// Capacity of the manager's message queue. Bounded so a violation storm
@@ -103,8 +108,8 @@ pub enum LiveError {
     ThreadSpawn(std::io::Error),
     /// The OS refused the listening socket.
     Listen(std::io::Error),
-    /// [`Driver::Reactor`] was requested on a platform without epoll
-    /// (the reactor is Linux-only; use [`Driver::Threads`] elsewhere).
+    /// Socket peers were requested on a platform without epoll (both
+    /// [`Driver`]s are Linux only; in-proc managers run anywhere).
     ReactorUnsupported,
 }
 
@@ -116,7 +121,10 @@ impl fmt::Display for LiveError {
             LiveError::ThreadSpawn(e) => write!(f, "could not spawn manager thread: {e}"),
             LiveError::Listen(e) => write!(f, "could not bind manager socket: {e}"),
             LiveError::ReactorUnsupported => {
-                write!(f, "the epoll reactor driver is only available on Linux")
+                write!(
+                    f,
+                    "socket peers need epoll, which is only available on Linux"
+                )
             }
         }
     }
@@ -182,9 +190,6 @@ struct ReportBatch {
     builder: BatchBuilder,
     policy: ReportBatchPolicy,
     oldest: Option<Instant>,
-    /// Reusable frame buffer: the flush path allocates nothing in
-    /// steady state.
-    frame_buf: Vec<u8>,
 }
 
 /// An instrumented process in live mode: sensors + coordinator + a
@@ -197,6 +202,9 @@ pub struct LiveProcess {
     clock: LiveClock,
     transport: Box<dyn WireTransport>,
     batch: Option<ReportBatch>,
+    /// Reusable frame buffer: the send paths allocate nothing for the
+    /// frame in steady state.
+    frame_buf: Vec<u8>,
     reports_sent: u64,
     reports_dropped: u64,
     flush_deadline_hits: u64,
@@ -246,6 +254,7 @@ impl LiveProcess {
             clock: LiveClock::new(),
             transport,
             batch: None,
+            frame_buf: Vec::new(),
             reports_sent: 0,
             reports_dropped: 0,
             flush_deadline_hits: 0,
@@ -268,7 +277,6 @@ impl LiveProcess {
             builder: BatchBuilder::new(),
             policy,
             oldest: None,
-            frame_buf: Vec::new(),
         });
     }
 
@@ -306,7 +314,7 @@ impl LiveProcess {
     /// re-detected on the next pass, so a drop costs latency, not
     /// correctness.
     pub fn report(&mut self, report: ViolationReport) {
-        let msg = WireMsg::LiveViolation(report.to_wire());
+        let msg = WireMsg::LiveViolation(report.into_wire());
         if let Some(b) = self.batch.as_mut() {
             if b.builder.is_empty() {
                 b.oldest = Some(Instant::now());
@@ -318,8 +326,9 @@ impl LiveProcess {
                 self.flush_inner(due && !full);
             }
         } else {
-            let frame = msg.encode_frame();
-            if self.transport.try_send(&frame) {
+            self.frame_buf.clear();
+            msg.encode_frame_into(&mut self.frame_buf);
+            if self.transport.try_send(&self.frame_buf) {
                 self.reports_sent += 1;
                 self.sent_counter.inc();
             } else {
@@ -356,8 +365,8 @@ impl LiveProcess {
             return;
         }
         let n = b.builder.len() as u64;
-        b.frame_buf.clear();
-        b.builder.append_frame_to(&mut b.frame_buf);
+        self.frame_buf.clear();
+        b.builder.append_frame_to(&mut self.frame_buf);
         b.oldest = None;
         if deadline_hit {
             self.flush_deadline_hits += 1;
@@ -365,7 +374,7 @@ impl LiveProcess {
         }
         // The whole batch stands or falls with its one frame — the same
         // all-or-nothing the wire format promises on the decode side.
-        if self.transport.try_send(&b.frame_buf) {
+        if self.transport.try_send(&self.frame_buf) {
             self.reports_sent += n;
             self.sent_counter.add(n);
         } else {
@@ -512,25 +521,29 @@ pub enum ListenSpec {
 }
 
 /// Which machinery serves socket peers of a [`LiveHostManager`]. Both
-/// drivers run the same `qos-net` protocol machines and feed the same
-/// manager queue, so rule firing is driver-independent; they differ only
-/// in how peer I/O is multiplexed onto OS threads.
+/// drivers run the same `qos-net` protocol machines and the same
+/// manager core, so rule firing is driver-independent; they differ only
+/// in how peer I/O is multiplexed onto OS threads. Both are Linux only
+/// (epoll); in-proc managers run anywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Driver {
-    /// One blocking reader thread per accepted peer. Portable, simple,
-    /// and fine up to a few hundred peers; the pre-reactor shape.
+    /// The manager thread's own epoll loop over the listener and every
+    /// peer: each ready peer is read up to a byte budget and every
+    /// complete frame is decoded and handled in place, with replies
+    /// queued on the peer's bounded outbound queue. One thread, no
+    /// hand-off between reading a report and acting on it.
     #[default]
-    Threads,
+    Inline,
     /// The hand-rolled epoll reactor: every peer multiplexed onto a
-    /// small worker pool with bounded per-peer write queues. Holds
-    /// thousands of peers on ≤ 4 threads. Linux only — spawning with
-    /// this driver elsewhere fails with [`LiveError::ReactorUnsupported`].
+    /// small worker pool with bounded per-peer write queues, frames
+    /// handed to the manager thread through its inbound queue. Holds
+    /// thousands of peers on ≤ 4 threads.
     Reactor,
 }
 
 /// Builder for a [`LiveHostManager`] — the one construction path for
-/// every live-mode configuration (in-proc, thread-per-peer sockets, or
-/// the epoll reactor). Obtained from [`LiveHostManager::builder`].
+/// every live-mode configuration (in-proc, the inline loop, or the
+/// epoll reactor). Obtained from [`LiveHostManager::builder`].
 #[derive(Debug, Clone, Default)]
 pub struct LiveBuilder {
     listen: ListenSpec,
@@ -548,7 +561,7 @@ impl LiveBuilder {
         self
     }
 
-    /// How socket peers are served (default: [`Driver::Threads`]).
+    /// How socket peers are served (default: [`Driver::Inline`]).
     /// Ignored for [`ListenSpec::InProc`], where there is no socket I/O
     /// to drive.
     pub fn driver(mut self, driver: Driver) -> Self {
@@ -557,7 +570,7 @@ impl LiveBuilder {
     }
 
     /// Worker threads for [`Driver::Reactor`] (default 4, the C10k
-    /// budget; clamped to ≥ 1). Meaningless for the threads driver.
+    /// budget; clamped to ≥ 1). Meaningless for the inline loop.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
         self
@@ -583,7 +596,7 @@ impl LiveBuilder {
         self
     }
 
-    /// Bound each reactor peer's outbound queue from a flush shape: the
+    /// Bound each socket peer's outbound queue from a flush shape: the
     /// queue holds roughly 16 flush batches (`16 × max_bytes`) before
     /// back-pressuring. Default: [`qos_net::OutQueueConfig::default`].
     pub fn flush(mut self, policy: FlushPolicy) -> Self {
@@ -591,16 +604,15 @@ impl LiveBuilder {
         self
     }
 
-    /// Spawn the manager thread (and acceptor or reactor, if listening).
-    /// The rule base is parsed before any thread starts, so a bad build
-    /// fails here, in the caller, rather than panicking a detached
-    /// thread.
+    /// Spawn the manager thread (and the reactor, if that driver
+    /// serves the socket). The rule base is parsed and the socket bound
+    /// before any thread starts, so a bad build fails here, in the
+    /// caller, rather than panicking a detached thread.
     pub fn spawn(self) -> Result<LiveHostManager, LiveError> {
         let rules = parse_program(&host_rules_fair()).map_err(|e| LiveError::BadRules(e.0))?;
         let base = parse_program(&host_base_facts()).map_err(|e| LiveError::BadRules(e.0))?;
         let (tx, rx): (Sender<Inbound>, Receiver<Inbound>) = bounded(LIVE_QUEUE_CAPACITY);
         let stats = Arc::new(LiveManagerStats::default());
-
         let core_cfg = match self.report_batch {
             None => CoreConfig::default(),
             Some(p) => CoreConfig {
@@ -609,90 +621,113 @@ impl LiveBuilder {
                 batch_max_events: p.max_msgs.max(1),
             },
         };
-        let thread_stats = Arc::clone(&stats);
-        let thread_telemetry = self.telemetry.clone().unwrap_or_default();
-        // Buggify state is thread-local; carry the spawner's config into
-        // the manager thread so chaos runs fault the live plane too.
-        let chaos = qos_buggify::config();
-        let handle = std::thread::Builder::new()
-            .name("qos-host-manager".into())
-            .spawn(move || {
-                if let Some(cfg) = chaos {
-                    qos_buggify::adopt(cfg);
-                }
-                ManagerCore::new(thread_stats, thread_telemetry, rules, base, core_cfg).run(rx)
-            })
-            .map_err(LiveError::ThreadSpawn)?;
-
-        let stop_accept = Arc::new(AtomicBool::new(false));
-        #[cfg(target_os = "linux")]
-        let mut reactor = None;
-        let (acceptor, bound) = match self.listen {
+        let core = ManagerCore::new(
+            Arc::clone(&stats),
+            self.telemetry.clone().unwrap_or_default(),
+            rules,
+            base,
+            core_cfg,
+        );
+        let (listener, bound) = match &self.listen {
             ListenSpec::InProc => (None, None),
             ListenSpec::Sock(addr) => {
-                let listener = SockListener::bind(&addr).map_err(LiveError::Listen)?;
+                let listener = SockListener::bind(addr).map_err(LiveError::Listen)?;
                 let bound = listener.local_addr().map_err(LiveError::Listen)?;
-                match self.driver {
-                    Driver::Threads => {
-                        let tx2 = tx.clone();
-                        let stop2 = Arc::clone(&stop_accept);
-                        let acceptor = std::thread::Builder::new()
-                            .name("qos-hm-accept".into())
-                            .spawn(move || accept_loop(listener, tx2, stop2))
-                            .map_err(LiveError::ThreadSpawn)?;
-                        (Some(acceptor), Some(bound))
-                    }
-                    #[cfg(target_os = "linux")]
-                    Driver::Reactor => {
-                        listener.set_nonblocking(true).map_err(LiveError::Listen)?;
-                        let mut out = OutQueueConfig::default();
-                        if let Some(f) = self.flush {
-                            out.max_bytes = f.max_bytes.saturating_mul(16).max(out.max_bytes);
-                        }
-                        let cfg = ReactorConfig {
-                            workers: self.workers.max(1),
-                            out,
-                            telemetry: self.telemetry.clone(),
-                            ..ReactorConfig::default()
-                        };
-                        let sink = Arc::new(MgrSink { tx: tx.clone() });
-                        let r =
-                            ReactorHandle::spawn(listener, sink, cfg).map_err(LiveError::Listen)?;
-                        reactor = Some(r);
-                        (None, Some(bound))
-                    }
-                    #[cfg(not(target_os = "linux"))]
-                    Driver::Reactor => return Err(LiveError::ReactorUnsupported),
-                }
+                (Some(listener), Some(bound))
             }
         };
-
-        Ok(LiveHostManager {
-            stats,
-            handle: Some(handle),
-            tx,
-            acceptor,
-            stop_accept,
-            bound,
-            #[cfg(target_os = "linux")]
-            reactor,
-        })
+        #[cfg(target_os = "linux")]
+        {
+            let mut out = OutQueueConfig::default();
+            if let Some(f) = self.flush {
+                out.max_bytes = f.max_bytes.saturating_mul(16).max(out.max_bytes);
+            }
+            let (inline_listener, reactor_listener) = match self.driver {
+                Driver::Inline => (listener, None),
+                Driver::Reactor => (None, listener),
+            };
+            let (net, waker) = InlineNet::new(inline_listener, out).map_err(LiveError::Listen)?;
+            let inlet = Inlet::new(tx, waker);
+            let mut net_stats = bound.as_ref().map(|_| net.stats());
+            let mut reactor = None;
+            if let Some(listener) = reactor_listener {
+                let cfg = ReactorConfig {
+                    workers: self.workers.max(1),
+                    out,
+                    telemetry: self.telemetry.clone(),
+                    ..ReactorConfig::default()
+                };
+                let sink = Arc::new(MgrSink {
+                    inlet: inlet.clone(),
+                });
+                let r = ReactorHandle::spawn(listener, sink, cfg).map_err(LiveError::Listen)?;
+                net_stats = Some(r.stats());
+                reactor = Some(r);
+            }
+            let handle = match spawn_manager(move || core.run(rx, net)) {
+                Ok(h) => h,
+                Err(e) => {
+                    if let Some(r) = reactor {
+                        r.shutdown();
+                    }
+                    return Err(e);
+                }
+            };
+            Ok(LiveHostManager {
+                stats,
+                handle: Some(handle),
+                inlet,
+                bound,
+                net_stats,
+                reactor,
+            })
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            if listener.is_some() {
+                return Err(LiveError::ReactorUnsupported);
+            }
+            let handle = spawn_manager(move || core.run(rx))?;
+            Ok(LiveHostManager {
+                stats,
+                handle: Some(handle),
+                inlet: Inlet::from(tx),
+                bound,
+            })
+        }
     }
 }
 
-/// A QoS Host Manager on its own thread, fed by an inbound frame queue.
-/// Peers attach over the in-proc channel ([`LiveHostManager::connect`])
-/// or, when built with [`ListenSpec::Sock`], over a real socket from
-/// another OS process — served by whichever [`Driver`] the builder
-/// picked.
+/// Start the manager thread. Buggify state is thread-local: carry the
+/// spawner's config into the thread so chaos runs fault the live plane
+/// too.
+fn spawn_manager(
+    run: impl FnOnce() + Send + 'static,
+) -> Result<std::thread::JoinHandle<()>, LiveError> {
+    let chaos = qos_buggify::config();
+    std::thread::Builder::new()
+        .name("qos-host-manager".into())
+        .spawn(move || {
+            if let Some(cfg) = chaos {
+                qos_buggify::adopt(cfg);
+            }
+            run()
+        })
+        .map_err(LiveError::ThreadSpawn)
+}
+
+/// A QoS Host Manager on its own thread. Peers attach over the in-proc
+/// channel ([`LiveHostManager::connect`]) or, when built with
+/// [`ListenSpec::Sock`], over a real socket from another OS process —
+/// served by whichever [`Driver`] the builder picked.
 pub struct LiveHostManager {
     /// Shared counters.
     pub stats: Arc<LiveManagerStats>,
     handle: Option<std::thread::JoinHandle<()>>,
-    tx: Sender<Inbound>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    stop_accept: Arc<AtomicBool>,
+    inlet: Inlet,
     bound: Option<SockAddr>,
+    #[cfg(target_os = "linux")]
+    net_stats: Option<Arc<NetStats>>,
     #[cfg(target_os = "linux")]
     reactor: Option<ReactorHandle>,
 }
@@ -728,18 +763,18 @@ impl LiveHostManager {
         b.spawn()
     }
 
-    /// The reactor's shared `net.*` counters, when this manager runs
-    /// [`Driver::Reactor`] (`None` for in-proc or thread-driver
-    /// managers).
+    /// The socket driver's shared `net.*` counters (`None` for in-proc
+    /// managers). Under [`Driver::Inline`], `wakeups` counts the manager
+    /// loop's `epoll_wait` returns.
     #[cfg(target_os = "linux")]
     pub fn net_stats(&self) -> Option<Arc<NetStats>> {
-        self.reactor.as_ref().map(|r| r.stats())
+        self.net_stats.clone()
     }
 
     /// An in-proc transport into this manager, for [`LiveProcess::start`]
     /// (and anything else that wants to inject frames).
     pub fn connect(&self) -> Box<dyn WireTransport> {
-        Box::new(ChannelTransport::new(self.tx.clone()))
+        Box::new(ChannelTransport::new(self.inlet.clone()))
     }
 
     /// Subscribe to this manager's telemetry stream in-proc: encoded
@@ -761,7 +796,7 @@ impl LiveHostManager {
             want_metrics,
         })
         .encode_frame();
-        let _ = self.tx.send(Inbound::Frame {
+        self.inlet.send(Inbound::Frame {
             bytes: frame,
             reply: Some(ReplySink::Chan(btx)),
         });
@@ -778,27 +813,14 @@ impl LiveHostManager {
     /// `false` if the manager thread is gone or takes more than
     /// [`SYNC_TIMEOUT`] (it never legitimately does).
     pub fn sync(&self) -> bool {
-        ChannelTransport::new(self.tx.clone()).sync(SYNC_TIMEOUT)
+        ChannelTransport::new(self.inlet.clone()).sync(SYNC_TIMEOUT)
     }
 
     /// Idempotent stop: the first call delivers Shutdown and joins; any
     /// repeat (including the Drop after an explicit `shutdown`) is a
-    /// no-op because the handle is already gone.
+    /// no-op because the handle is already gone. The manager thread
+    /// closes every socket peer as it exits.
     fn stop(&mut self) {
-        self.stop_accept.store(true, Ordering::Relaxed);
-        if let Some(a) = self.acceptor.take() {
-            // The acceptor blocks in `accept`: one connection of our own
-            // wakes it to see the flag. Should the dial fail, the
-            // acceptor is left to exit with the process rather than hang
-            // the join.
-            let woken = self
-                .bound
-                .as_ref()
-                .is_some_and(|b| SockStream::connect(b).is_ok());
-            if woken {
-                let _ = a.join();
-            }
-        }
         // The reactor goes down before the manager thread: a worker
         // blocked on the manager's full inbound queue only drains while
         // the manager still consumes.
@@ -807,7 +829,7 @@ impl LiveHostManager {
             r.shutdown();
         }
         if let Some(h) = self.handle.take() {
-            let _ = self.tx.send(Inbound::Shutdown);
+            self.inlet.send(Inbound::Shutdown);
             let _ = h.join();
         }
         if let Some(SockAddr::Uds(p)) = self.bound.take() {
@@ -827,10 +849,19 @@ impl Drop for LiveHostManager {
     }
 }
 
+/// Where a subscriber's batches go.
+enum SubSink {
+    /// An in-proc channel or a reactor peer.
+    Sink(ReplySink),
+    /// A socket peer of the manager thread's own loop, by id.
+    #[cfg(target_os = "linux")]
+    Peer(u64),
+}
+
 /// One attached telemetry subscriber: its sink, its filter, and its
 /// bounded queue of encoded batches awaiting delivery.
 struct Subscriber {
-    sink: ReplySink,
+    sink: SubSink,
     want_events: bool,
     want_metrics: bool,
     pending: VecDeque<Vec<u8>>,
@@ -848,6 +879,40 @@ fn enqueue_batch(sub: &mut Subscriber, frame: Vec<u8>) -> bool {
     }
     sub.pending.push_back(frame);
     dropped
+}
+
+/// The manager loop's socket peers, as the telemetry publisher sees
+/// them.
+trait PeerOut {
+    /// Queue a telemetry batch for `peer`: `None` if the peer is gone,
+    /// else whether a batch was lost to make room (drop-oldest lane).
+    fn send_telemetry(&mut self, peer: u64, frame: &[u8]) -> Option<bool>;
+}
+
+#[cfg(target_os = "linux")]
+impl PeerOut for InlineNet {
+    fn send_telemetry(&mut self, peer: u64, frame: &[u8]) -> Option<bool> {
+        self.send(peer, SendClass::Telemetry, frame)
+            .map(|e| e != Enqueue::Queued)
+    }
+}
+
+/// No socket peers (the in-proc-only loop).
+impl PeerOut for () {
+    fn send_telemetry(&mut self, _: u64, _: &[u8]) -> Option<bool> {
+        None
+    }
+}
+
+/// Where replies to the frame being handled go.
+enum Reply<'a> {
+    /// Nowhere: fire-and-forget carriers and chaos redeliveries.
+    None,
+    /// Through the sink that came with an inbound-queue frame.
+    Sink(&'a ReplySink),
+    /// Into the socket peer's own outbound queue (the inline loop).
+    #[cfg(target_os = "linux")]
+    Peer(u64, &'a mut PeerOutQueue),
 }
 
 /// Publish-cadence knobs of the manager loop, derived by the builder
@@ -889,7 +954,9 @@ struct ManagerCore {
     tdropped_c: Counter,
     skipped_c: Counter,
     engine: Engine,
-    registered: HashSet<String>,
+    /// Registered process ids, each with its `pid` fact value built
+    /// once (a violation fact then costs a refcount bump, not a copy).
+    registered: HashMap<String, Value>,
     subs: Vec<Subscriber>,
     staged: Vec<TraceEvent>,
     next_corr: u64,
@@ -932,7 +999,7 @@ impl ManagerCore {
             tdropped_c,
             skipped_c,
             engine,
-            registered: HashSet::new(),
+            registered: HashMap::new(),
             subs: Vec::new(),
             staged: Vec::new(),
             next_corr: 0,
@@ -941,62 +1008,135 @@ impl ManagerCore {
         }
     }
 
-    /// The manager loop. The receive timeout doubles as the publish
-    /// tick: with traffic, `pump` runs after every message (publish
-    /// still gated on the interval); idle, it runs every interval.
-    fn run(mut self, rx: Receiver<Inbound>) {
+    /// The manager loop: drain the inbound queue (in-proc peers,
+    /// reactor workers), run the publish cadence, then poll the socket
+    /// peers — blocking only when the queue is empty, until the next
+    /// publish is due or a sender wakes the loop.
+    #[cfg(target_os = "linux")]
+    fn run(mut self, rx: Receiver<Inbound>, mut net: InlineNet) {
+        // An item the pre-block check took off the queue.
+        let mut early: Option<Inbound> = None;
         loop {
-            match rx.recv_timeout(self.cfg.publish) {
-                Ok(Inbound::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-                Ok(Inbound::StreamCorrupt) => {
-                    self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    self.decode_c.inc();
+            // Bounded, so socket peers still get their turn under an
+            // in-proc flood.
+            for _ in 0..LIVE_QUEUE_CAPACITY {
+                let m = match early.take().map_or_else(|| rx.try_recv(), Ok) {
+                    Ok(m) => m,
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => return,
+                };
+                if !self.on_inbound(m) {
+                    return;
                 }
-                Ok(Inbound::Frame { bytes, reply }) => self.handle_frame(bytes, reply),
-                Err(RecvTimeoutError::Timeout) => {}
             }
-            self.pump();
+            self.pump(&mut net);
+            let idle = self.idle_timeout();
+            let queued = || match rx.try_recv() {
+                Ok(m) => {
+                    early = Some(m);
+                    true
+                }
+                Err(TryRecvError::Empty) => false,
+                Err(TryRecvError::Disconnected) => true,
+            };
+            if net.poll(idle, queued, &mut self).is_err() {
+                return;
+            }
         }
     }
 
-    fn handle_frame(&mut self, bytes: Vec<u8>, reply: Option<ReplySink>) {
+    /// The in-proc-only loop of platforms without epoll.
+    #[cfg(not(target_os = "linux"))]
+    fn run(mut self, rx: Receiver<Inbound>) {
+        loop {
+            match rx.recv_timeout(self.idle_timeout()) {
+                Ok(m) => {
+                    if !self.on_inbound(m) {
+                        return;
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+            self.pump(&mut ());
+        }
+    }
+
+    /// Handle one inbound-queue item; `false` on Shutdown.
+    fn on_inbound(&mut self, m: Inbound) -> bool {
+        match m {
+            Inbound::Shutdown => return false,
+            Inbound::StreamCorrupt => self.count_decode_error(),
+            Inbound::Frame { bytes, reply } => {
+                let mut reply = match &reply {
+                    Some(s) => Reply::Sink(s),
+                    None => Reply::None,
+                };
+                self.handle_frame(&bytes, &mut reply);
+            }
+        }
+        true
+    }
+
+    /// How long the loop may block before the publish cadence needs it.
+    fn idle_timeout(&self) -> Duration {
+        let publish = self.cfg.publish.saturating_sub(self.last_publish.elapsed());
+        if !publish.is_zero() {
+            return publish;
+        }
+        // The interval is due but there was nothing to publish: wait
+        // for input, or for the next metrics snapshot.
+        match self.last_metrics {
+            Some(t) if self.subs.iter().any(|s| s.want_metrics) => {
+                self.cfg.metrics.saturating_sub(t.elapsed())
+            }
+            _ => self.cfg.publish,
+        }
+    }
+
+    fn count_decode_error(&mut self) {
+        self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
+        self.decode_c.inc();
+    }
+
+    /// Decode one frame in place — a borrowed view, nothing copied out
+    /// of `bytes` unless a lifecycle event keeps it — and handle it.
+    fn handle_frame(&mut self, bytes: &[u8], reply: &mut Reply<'_>) {
         self.stats.frames.fetch_add(1, Ordering::Relaxed);
         self.stats
             .wire_bytes
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.frames_c.inc();
         self.bytes_c.add(bytes.len() as u64);
-        // The borrowed surface validates the frame without allocating;
-        // only messages that are actually handled get materialised.
-        match WireMsgRef::decode_frame(&bytes) {
-            Err(_) => {
-                self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                self.decode_c.inc();
-            }
+        match WireMsgRef::decode_frame(bytes) {
+            Err(_) => self.count_decode_error(),
             Ok(WireMsgRef::Batch(batch)) => {
                 self.stats.batch_frames.fetch_add(1, Ordering::Relaxed);
                 self.batch_frames_c.inc();
                 self.batch_hist.record(batch.len() as u64);
                 for m in &batch {
-                    let msg = m.to_owned_msg();
                     // Chaos: redeliver a coalesced message, as a
                     // retrying peer's resent batch would.
                     if qos_buggify::buggify!("live.mgr.dup_frame") {
-                        self.handle_msg(msg.clone(), None);
+                        self.handle_msg(&m, &mut Reply::None);
                     }
-                    self.handle_msg(msg, reply.clone());
+                    self.handle_msg(&m, reply);
                 }
             }
             Ok(view) => {
-                let msg = view.to_owned_msg();
                 // Chaos: redeliver the frame to the handler, as a
                 // retrying peer would. Registration must stay
                 // idempotent and sync acks harmless under this.
                 if qos_buggify::buggify!("live.mgr.dup_frame") {
-                    self.handle_msg(msg.clone(), None);
+                    self.handle_msg(&view, &mut Reply::None);
                 }
-                self.handle_msg(msg, reply)
+                self.handle_msg(&view, reply)
             }
+        }
+        // Bound batch size under a storm: cut now rather than at the
+        // next publish tick (delivery waits for the next pump).
+        if self.staged.len() >= self.cfg.batch_max_events {
+            self.publish();
         }
     }
 
@@ -1023,150 +1163,83 @@ impl ManagerCore {
         MGR_CORR_BIT | self.next_corr
     }
 
-    fn handle_msg(&mut self, msg: WireMsg, reply: Option<ReplySink>) {
+    fn handle_msg(&mut self, msg: &WireMsgRef<'_>, reply: &mut Reply<'_>) {
+        let msg = match msg {
+            WireMsgRef::LiveViolation(v) => return self.on_violation(v),
+            WireMsgRef::Owned(m) => m,
+            // Other borrowed kinds are sim-plane traffic; batches do
+            // not nest.
+            _ => return,
+        };
         match msg {
             // At-least-once registration (retries, reconnect greetings):
             // only the first sighting of a process id counts.
             WireMsg::LiveRegister(LiveRegisterMsg { process })
-                if self.registered.insert(process.clone()) =>
+                if !self.registered.contains_key(process) =>
             {
+                self.registered.insert(process.clone(), Value::str(process));
                 self.stats.registrations.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.counter("live.registered", &process).inc();
+                self.telemetry.counter("live.registered", process).inc();
                 let at_us = self.clock.now_us();
                 self.emit(|| TraceEvent {
                     at_us,
                     corr: 0,
                     stage: Stage::Mark,
-                    component: process,
+                    component: process.clone(),
                     name: "live-register".into(),
                     fields: Vec::new(),
                 });
             }
-            WireMsg::LiveViolation(report) => {
-                self.stats.violations.fetch_add(1, Ordering::Relaxed);
-                let LiveViolationMsg {
-                    policy,
-                    process,
-                    corr,
-                    readings,
-                    ..
-                } = report;
-                // Timestamps are the *manager's* clock throughout: the
-                // reporting process's clock has a different origin, so
-                // its `at_us` would scramble per-stage latencies.
-                let corr = if corr != 0 { corr } else { self.mint_corr() };
-                let now = self.clock.now_us();
-                self.emit(|| TraceEvent {
-                    at_us: now,
-                    corr,
-                    stage: Stage::Detect,
-                    component: process.clone(),
-                    name: policy.clone(),
-                    fields: readings.clone(),
-                });
-                self.emit(|| TraceEvent {
-                    at_us: now,
-                    corr,
-                    stage: Stage::Report,
-                    component: process.clone(),
-                    name: policy.clone(),
-                    fields: Vec::new(),
-                });
-                let fps = readings.first().map(|&(_, v)| v).unwrap_or(0.0);
-                let buffer = readings
-                    .iter()
-                    .find(|(a, _)| a == "buffer_size")
-                    .map(|&(_, v)| v)
-                    .unwrap_or(0.0);
-                self.engine.assert_fact(
-                    Fact::new("violation")
-                        .with("pid", Value::str(&process))
-                        .with("fps", fps)
-                        .with("lo", 23.0)
-                        .with("hi", 27.0)
-                        .with("buffer", buffer)
-                        .with("weight", 1.0)
-                        .with("has-upstream", false),
-                );
-                let run = self.engine.run(100);
-                self.stats
-                    .rules_fired
-                    .fetch_add(run.fired, Ordering::Relaxed);
-                let at_us = self.clock.now_us();
-                self.emit(|| TraceEvent {
-                    at_us,
-                    corr,
-                    stage: Stage::Diagnose,
-                    component: "host-manager".into(),
-                    name: policy,
-                    fields: vec![("fired".into(), run.fired as f64)],
-                });
-                for inv in self.engine.take_invocations() {
-                    let step: i64 = match inv.command.as_str() {
-                        "adjust-cpu" => 10,
-                        "relax-cpu" => -5,
-                        _ => 0,
-                    };
-                    if step != 0 {
-                        self.stats.boost_level.fetch_add(step, Ordering::Relaxed);
-                    }
-                    let at_us = self.clock.now_us();
-                    self.emit(|| TraceEvent {
-                        at_us,
-                        corr,
-                        stage: Stage::Adapt,
-                        component: "host-manager".into(),
-                        name: inv.command,
-                        fields: vec![("step".into(), step as f64)],
-                    });
-                }
-            }
             WireMsg::TelemetrySubscribe(sub) => {
                 // A subscription needs a way back to the peer; the
-                // chaos-duplicated redelivery arrives with no sink and
-                // is ignored, keeping subscription effectively
+                // chaos-duplicated redelivery arrives with no reply
+                // route and is ignored, keeping subscription effectively
                 // idempotent under at-least-once delivery.
-                if let Some(sink) = reply {
-                    let at_us = self.clock.now_us();
-                    let name = sub.subscriber;
-                    self.telemetry.event(|| TraceEvent {
-                        at_us,
-                        corr: 0,
-                        stage: Stage::Mark,
-                        component: name,
-                        name: "telemetry-subscribe".into(),
-                        fields: Vec::new(),
-                    });
-                    self.subs.push(Subscriber {
-                        sink,
-                        want_events: sub.want_events,
-                        want_metrics: sub.want_metrics,
-                        pending: VecDeque::new(),
-                        seq: 0,
-                        gone: false,
-                    });
-                    self.stats
-                        .subscribers
-                        .store(self.subs.len() as u64, Ordering::Relaxed);
-                    // Snapshot promptly for the newcomer instead of
-                    // waiting out the metrics cadence.
-                    self.last_metrics = None;
-                }
+                let sink = match reply {
+                    Reply::None => return,
+                    Reply::Sink(s) => SubSink::Sink((*s).clone()),
+                    #[cfg(target_os = "linux")]
+                    Reply::Peer(id, _) => SubSink::Peer(*id),
+                };
+                let at_us = self.clock.now_us();
+                self.telemetry.event(|| TraceEvent {
+                    at_us,
+                    corr: 0,
+                    stage: Stage::Mark,
+                    component: sub.subscriber.clone(),
+                    name: "telemetry-subscribe".into(),
+                    fields: Vec::new(),
+                });
+                self.subs.push(Subscriber {
+                    sink,
+                    want_events: sub.want_events,
+                    want_metrics: sub.want_metrics,
+                    pending: VecDeque::new(),
+                    seq: 0,
+                    gone: false,
+                });
+                self.stats
+                    .subscribers
+                    .store(self.subs.len() as u64, Ordering::Relaxed);
+                // Snapshot promptly for the newcomer instead of
+                // waiting out the metrics cadence.
+                self.last_metrics = None;
             }
             WireMsg::SyncReq { token } => {
-                // Everything queued before this frame has been handled by
-                // now (single consumer, FIFO queue): ack it.
-                if let Some(sink) = reply {
-                    let ack = WireMsg::SyncAck { token }.encode_frame();
-                    let _ = sink.send(&ack);
-                }
-            }
-            // Batches are normally unpacked (and counted) in
-            // handle_frame; one arriving here is still unpacked so the
-            // coalesced messages are never silently lost.
-            WireMsg::Batch(b) => {
-                for m in b.msgs {
-                    self.handle_msg(m, reply.clone());
+                // Everything this peer sent before this frame has been
+                // handled by now (one peer's frames are handled in
+                // order): ack it. A full control lane drops the ack; the
+                // peer's barrier times out and asks again.
+                let ack = WireMsg::SyncAck { token: *token }.encode_frame();
+                match reply {
+                    Reply::None => {}
+                    Reply::Sink(s) => {
+                        s.send(&ack);
+                    }
+                    #[cfg(target_os = "linux")]
+                    Reply::Peer(_, out) => {
+                        out.enqueue(SendClass::Control, &ack);
+                    }
                 }
             }
             // A polite goodbye needs no action; anything else the sim
@@ -1177,10 +1250,91 @@ impl ManagerCore {
         }
     }
 
-    /// Deliver what's deliverable and, when the cadence (or a full
-    /// staging buffer) says so, cut a new batch for every subscriber.
-    fn pump(&mut self) {
-        self.flush_subs();
+    fn on_violation(&mut self, v: &LiveViolationMsgRef<'_>) {
+        self.stats.violations.fetch_add(1, Ordering::Relaxed);
+        // Timestamps are the *manager's* clock throughout: the reporting
+        // process's clock has a different origin, so its `at_us` would
+        // scramble per-stage latencies.
+        let corr = if v.corr != 0 {
+            v.corr
+        } else {
+            self.mint_corr()
+        };
+        let now = self.clock.now_us();
+        self.emit(|| TraceEvent {
+            at_us: now,
+            corr,
+            stage: Stage::Detect,
+            component: v.process.into(),
+            name: v.policy.into(),
+            fields: v.readings.to_vec(),
+        });
+        self.emit(|| TraceEvent {
+            at_us: now,
+            corr,
+            stage: Stage::Report,
+            component: v.process.into(),
+            name: v.policy.into(),
+            fields: Vec::new(),
+        });
+        let fps = v.readings.iter().next().map_or(0.0, |(_, x)| x);
+        let buffer = v
+            .readings
+            .iter()
+            .find(|&(a, _)| a == "buffer_size")
+            .map_or(0.0, |(_, x)| x);
+        let pid = match self.registered.get(v.process) {
+            Some(pid) => pid.clone(),
+            None => Value::str(v.process),
+        };
+        self.engine.assert_fact(
+            Fact::new("violation")
+                .with("pid", pid)
+                .with("fps", fps)
+                .with("lo", 23.0)
+                .with("hi", 27.0)
+                .with("buffer", buffer)
+                .with("weight", 1.0)
+                .with("has-upstream", false),
+        );
+        let run = self.engine.run(100);
+        self.stats
+            .rules_fired
+            .fetch_add(run.fired, Ordering::Relaxed);
+        let at_us = self.clock.now_us();
+        self.emit(|| TraceEvent {
+            at_us,
+            corr,
+            stage: Stage::Diagnose,
+            component: "host-manager".into(),
+            name: v.policy.into(),
+            fields: vec![("fired".into(), run.fired as f64)],
+        });
+        for inv in self.engine.take_invocations() {
+            let step: i64 = match inv.command.as_str() {
+                "adjust-cpu" => 10,
+                "relax-cpu" => -5,
+                _ => 0,
+            };
+            if step != 0 {
+                self.stats.boost_level.fetch_add(step, Ordering::Relaxed);
+            }
+            let at_us = self.clock.now_us();
+            self.emit(|| TraceEvent {
+                at_us,
+                corr,
+                stage: Stage::Adapt,
+                component: "host-manager".into(),
+                name: inv.command,
+                fields: vec![("step".into(), step as f64)],
+            });
+        }
+    }
+
+    /// Deliver what's deliverable and, when the cadence says so, cut a
+    /// new batch for every subscriber.
+    fn pump(&mut self, peers: &mut impl PeerOut) {
+        self.flush_subs(peers);
         if self.subs.is_empty() {
             // Nobody listening: staging anything would only grow a
             // buffer no one drains, and encoding a batch would be pure
@@ -1195,28 +1349,39 @@ impl ManagerCore {
             return;
         }
         let interval_due = self.last_publish.elapsed() >= self.cfg.publish;
-        let metrics_stale = match self.last_metrics {
-            None => true,
-            Some(t) => t.elapsed() >= self.cfg.metrics,
-        };
-        let metrics_due = metrics_stale && self.subs.iter().any(|s| s.want_metrics);
-        let force = self.staged.len() >= self.cfg.batch_max_events;
-        if !(force || (interval_due && (!self.staged.is_empty() || metrics_due))) {
-            return;
+        if interval_due && (!self.staged.is_empty() || self.metrics_due()) {
+            self.publish();
+            self.flush_subs(peers);
         }
+    }
+
+    fn metrics_due(&self) -> bool {
+        let stale = self
+            .last_metrics
+            .is_none_or(|t| t.elapsed() >= self.cfg.metrics);
+        stale && self.subs.iter().any(|s| s.want_metrics)
+    }
+
+    /// Cut one batch per subscriber from the staged events (plus a
+    /// metrics snapshot when due) onto its pending queue.
+    fn publish(&mut self) {
         self.last_publish = Instant::now();
         let events = std::mem::take(&mut self.staged);
-        let metrics = if metrics_due {
+        let metrics = if self.metrics_due() {
             self.last_metrics = Some(Instant::now());
             Some((self.clock.now_us(), self.telemetry.snapshot()))
         } else {
             None
         };
-        for sub in &mut self.subs {
-            let evs: Vec<TraceEvent> = if sub.want_events {
-                events.clone()
-            } else {
-                Vec::new()
+        // The last subscriber that wants events takes them; only the
+        // others pay for a copy.
+        let mut events = Some(events);
+        let last = self.subs.iter().rposition(|s| s.want_events);
+        for (i, sub) in self.subs.iter_mut().enumerate() {
+            let evs: Vec<TraceEvent> = match (sub.want_events, Some(i) == last) {
+                (false, _) => Vec::new(),
+                (true, true) => events.take().unwrap_or_default(),
+                (true, false) => events.clone().unwrap_or_default(),
             };
             let met = if sub.want_metrics {
                 metrics.clone()
@@ -1249,16 +1414,29 @@ impl ManagerCore {
                 self.tdropped_c.inc();
             }
         }
-        self.flush_subs();
     }
 
     /// Drain each subscriber's pending queue as far as its sink allows;
     /// forget peers whose sink is gone for good.
-    fn flush_subs(&mut self) {
+    fn flush_subs(&mut self, peers: &mut impl PeerOut) {
         let mut lost = false;
         for sub in &mut self.subs {
             while let Some(front) = sub.pending.front() {
-                match sub.sink.try_send_frame(front) {
+                let sent = match &sub.sink {
+                    SubSink::Sink(s) => s.try_send_frame(front),
+                    #[cfg(target_os = "linux")]
+                    SubSink::Peer(id) => match peers.send_telemetry(*id, front) {
+                        None => SinkSend::Gone,
+                        Some(evicted) => {
+                            if evicted {
+                                self.stats.telemetry_dropped.fetch_add(1, Ordering::Relaxed);
+                                self.tdropped_c.inc();
+                            }
+                            SinkSend::Sent
+                        }
+                    },
+                };
+                match sent {
                     SinkSend::Sent => {
                         sub.pending.pop_front();
                     }
@@ -1280,6 +1458,19 @@ impl ManagerCore {
     }
 }
 
+/// Socket peers of the inline loop: each frame is handled right where
+/// the loop read it, replies going into the peer's outbound queue.
+#[cfg(target_os = "linux")]
+impl FrameHandler for ManagerCore {
+    fn on_frame(&mut self, peer: u64, frame: &[u8], out: &mut PeerOutQueue) {
+        self.handle_frame(frame, &mut Reply::Peer(peer, out));
+    }
+
+    fn on_corrupt(&mut self) {
+        self.count_decode_error();
+    }
+}
+
 /// The reactor's delivery target: every complete frame from every peer
 /// lands on the manager's inbound queue, tagged with a [`PeerSender`]
 /// reply sink so sync acks and telemetry batches ride back through the
@@ -1288,97 +1479,20 @@ impl ManagerCore {
 /// it the peer's socket) instead of dropping frames.
 #[cfg(target_os = "linux")]
 struct MgrSink {
-    tx: Sender<Inbound>,
+    inlet: Inlet,
 }
 
 #[cfg(target_os = "linux")]
 impl EventSink for MgrSink {
     fn on_frame(&self, bytes: Vec<u8>, peer: &PeerSender) -> bool {
-        self.tx
-            .send(Inbound::Frame {
-                bytes,
-                reply: Some(ReplySink::Net(peer.clone())),
-            })
-            .is_ok()
+        self.inlet.send(Inbound::Frame {
+            bytes,
+            reply: Some(ReplySink::Net(peer.clone())),
+        })
     }
 
     fn on_corrupt(&self) {
-        let _ = self.tx.send(Inbound::StreamCorrupt);
-    }
-}
-
-/// Accept loop for socket mode: non-blocking accept + stop-flag poll, so
-/// shutdown never hangs in `accept(2)`. Each connection gets a reader
-/// thread that reframes the byte stream and forwards raw frames to the
-/// manager queue; replies (sync acks) go back over the same connection.
-fn accept_loop(listener: SockListener, tx: Sender<Inbound>, stop: Arc<AtomicBool>) {
-    loop {
-        let accepted = listener.accept();
-        if stop.load(Ordering::Relaxed) {
-            return; // the shutdown wake-up (or a peer racing it)
-        }
-        match accepted {
-            Ok(stream) => {
-                let tx = tx.clone();
-                let conn = std::thread::Builder::new()
-                    .name("qos-hm-conn".into())
-                    .spawn(move || {
-                        conn_loop(stream, tx);
-                    });
-                // A failed thread spawn drops the connection; the peer's
-                // reconnect machinery will try again.
-                drop(conn);
-            }
-            // Transient accept failures (a peer that reset before we
-            // accepted it, fd exhaustion): back off briefly and retry.
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
-        }
-    }
-}
-
-/// Per-connection reader: split the stream into header-validated raw
-/// frames (no payload decode here — that is the manager thread's job, so
-/// decode errors are counted in one place). Exits when the peer closes,
-/// the stream corrupts, or the manager is gone.
-fn conn_loop(stream: SockStream, tx: Sender<Inbound>) {
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(parking_lot::Mutex::new(w)),
-        Err(_) => return,
-    };
-    let mut reader = stream;
-    // The same sans-io reassembly machine the reactor driver runs — the
-    // thread driver is just a different pump around it.
-    let mut pr = PeerReader::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match reader.read(&mut chunk) {
-            Ok(0) | Err(_) => return, // peer gone
-            Ok(n) => pr.on_bytes(&chunk[..n]),
-        }
-        loop {
-            match pr.next_frame() {
-                Ok(Some(bytes)) => {
-                    if tx
-                        .send(Inbound::Frame {
-                            bytes,
-                            reply: Some(ReplySink::Sock(Arc::clone(&writer))),
-                        })
-                        .is_err()
-                    {
-                        return; // manager gone
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // Unreframeable stream: there is no way to find the
-                    // next frame boundary after a corrupt header. Count
-                    // and drop the connection; the peer reconnects.
-                    let _ = tx.send(Inbound::StreamCorrupt);
-                    reader.shutdown();
-                    return;
-                }
-            }
-        }
+        self.inlet.send(Inbound::StreamCorrupt);
     }
 }
 
@@ -1443,7 +1557,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{SocketTransport, TelemetryTap};
+    use crate::transport::{SockStream, SocketTransport, TelemetryTap};
 
     fn registration() -> Registration {
         Registration {
@@ -1815,7 +1929,7 @@ mod tests {
         // batches through the publish cadence would take minutes).
         let (btx, _brx) = bounded(1);
         let mut sub = Subscriber {
-            sink: ReplySink::Chan(btx),
+            sink: SubSink::Sink(ReplySink::Chan(btx)),
             want_events: true,
             want_metrics: false,
             pending: VecDeque::new(),
@@ -1849,6 +1963,9 @@ mod tests {
             .expect("spawn socket manager");
         let addr = mgr.local_addr().expect("bound");
         let mut tap = TelemetryTap::connect(&addr, "test-tap", true, true).expect("tap connects");
+        // The subscribe handshake: connect returns once the
+        // subscription is live.
+        assert_eq!(mgr.stats.subscribers.load(Ordering::Relaxed), 1);
 
         let (repo, mut agent) = standard_live_repo();
         let sock = SocketTransport::connect_retry(addr, Duration::from_secs(5)).unwrap();
@@ -1883,7 +2000,7 @@ mod tests {
             .spawn()
             .expect("spawn socket manager");
         let addr = mgr.local_addr().expect("bound");
-        let mut raw = crate::transport::SockStream::connect(&addr).unwrap();
+        let mut raw = SockStream::connect(&addr).unwrap();
         raw.write_all(&[0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4])
             .unwrap();
         // The reader drops the connection on the unreframeable stream and
@@ -1991,6 +2108,7 @@ mod tests {
             .expect("spawn reactor manager");
         let addr = mgr.local_addr().expect("bound");
         let mut tap = TelemetryTap::connect(&addr, "reactor-tap", true, true).expect("tap dials");
+        assert_eq!(mgr.stats.subscribers.load(Ordering::Relaxed), 1);
 
         let (repo, mut agent) = standard_live_repo();
         let sock = SocketTransport::connect_retry(addr, Duration::from_secs(5)).unwrap();
@@ -2025,7 +2143,7 @@ mod tests {
             .spawn()
             .expect("spawn reactor manager");
         let addr = mgr.local_addr().expect("bound");
-        let mut raw = crate::transport::SockStream::connect(&addr).unwrap();
+        let mut raw = SockStream::connect(&addr).unwrap();
         raw.write_all(&[0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4])
             .unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -2034,5 +2152,175 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         mgr.shutdown();
+    }
+
+    fn violation_frame(process: &str, corr: u64) -> Vec<u8> {
+        WireMsg::LiveViolation(qos_wire::messages::LiveViolationMsg {
+            policy: "NotifyQoSViolation".into(),
+            process: process.into(),
+            at_us: corr,
+            corr,
+            readings: vec![
+                ("frame_rate".into(), 15.0),
+                ("buffer_size".into(), 50_000.0),
+            ],
+        })
+        .encode_frame()
+    }
+
+    fn register_frame(process: &str) -> Vec<u8> {
+        WireMsg::LiveRegister(LiveRegisterMsg {
+            process: process.into(),
+        })
+        .encode_frame()
+    }
+
+    /// A socket peer of `mgr` that has registered as `name`.
+    fn socket_peer(mgr: &LiveHostManager, name: &str) -> SocketTransport {
+        let addr = mgr.local_addr().expect("bound");
+        let mut t = SocketTransport::connect_retry(addr, Duration::from_secs(5)).unwrap();
+        assert!(t.try_send(&register_frame(name)));
+        t
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn stalled_subscriber_loses_batches_without_stalling_ingest() {
+        let path = temp_sock("stalled-tap");
+        let t = Telemetry::enabled();
+        // One batch per report, so the tap's lane fills report by report.
+        let mgr = LiveHostManager::builder()
+            .listen(ListenSpec::Sock(SockAddr::Uds(path)))
+            .telemetry(&t)
+            .report_batch(ReportBatchPolicy {
+                max_msgs: 1,
+                max_delay: Duration::from_millis(1),
+            })
+            .spawn()
+            .expect("spawn socket manager");
+        let addr = mgr.local_addr().expect("bound");
+        let mut tap = TelemetryTap::connect(&addr, "stalled", true, false).expect("tap connects");
+        let mut peer = socket_peer(&mgr, "live:flood");
+        // The tap reads nothing until the manager reports a loss; every
+        // barrier meanwhile must still be acknowledged.
+        let mut sent = 0u64;
+        while mgr.stats.telemetry_dropped.load(Ordering::Relaxed) == 0 {
+            assert!(sent < 200_000, "the stalled tap never overflowed");
+            for _ in 0..64 {
+                sent += 1;
+                assert!(peer.try_send(&violation_frame("live:flood", sent)));
+            }
+            assert!(peer.sync(SYNC_TIMEOUT), "ingest stalled behind the tap");
+        }
+        assert_eq!(mgr.stats.violations.load(Ordering::Relaxed), sent);
+        if t.is_enabled() {
+            assert!(t.counter_value("live.telemetry_dropped", "host-manager") >= 1);
+        }
+        // Reading again, the tap sees the loss as a gap in `seq`.
+        let mut last = 0;
+        loop {
+            let b = tap
+                .next_batch(SYNC_TIMEOUT)
+                .expect("stream stays healthy")
+                .expect("batches keep arriving until the gap");
+            if b.seq != last + 1 {
+                break;
+            }
+            last = b.seq;
+        }
+        mgr.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn inproc_and_socket_syncs_alternate_without_lost_wakeups() {
+        let path = temp_sock("alternate");
+        let mgr = LiveHostManager::builder()
+            .listen(ListenSpec::Sock(SockAddr::Uds(path)))
+            .spawn()
+            .expect("spawn socket manager");
+        let mut inproc = mgr.connect();
+        let mut sock = socket_peer(&mgr, "live:sock");
+        assert!(inproc.try_send(&register_frame("live:inproc")));
+        for i in 0..1000u64 {
+            // Each barrier finds the loop idle, blocked in epoll_wait: an
+            // in-proc sync only completes if its wake-up is delivered.
+            let ok = if i % 2 == 0 {
+                inproc.try_send(&violation_frame("live:inproc", i + 1)) && inproc.sync(SYNC_TIMEOUT)
+            } else {
+                sock.try_send(&violation_frame("live:sock", i + 1)) && sock.sync(SYNC_TIMEOUT)
+            };
+            assert!(ok, "sync {i} was never acknowledged");
+        }
+        assert_eq!(mgr.stats.violations.load(Ordering::Relaxed), 1000);
+        assert_eq!(mgr.stats.registrations.load(Ordering::Relaxed), 2);
+        mgr.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn sync_ack_covers_every_earlier_report_of_its_peer() {
+        let path = temp_sock("interleaved");
+        let mgr = LiveHostManager::builder()
+            .listen(ListenSpec::Sock(SockAddr::Uds(path)))
+            .spawn()
+            .expect("spawn socket manager");
+        let mut a = socket_peer(&mgr, "live:a");
+        let mut b = socket_peer(&mgr, "live:b");
+        let (mut a_sent, mut b_sent, mut b_acked) = (0u64, 0u64, 0u64);
+        for round in 0..20u64 {
+            // Interleave the two peers' writes frame by frame, A heavier.
+            for k in 0..50 {
+                a_sent += 1;
+                assert!(a.try_send(&violation_frame("live:a", a_sent)));
+                if k % 5 == 0 {
+                    b_sent += 1;
+                    assert!(b.try_send(&violation_frame("live:b", b_sent)));
+                }
+            }
+            assert!(a.sync(SYNC_TIMEOUT), "round {round}: A's barrier");
+            let seen = mgr.stats.violations.load(Ordering::Relaxed);
+            assert!(
+                seen >= a_sent + b_acked,
+                "round {round}: A's ack arrived before its reports were handled"
+            );
+            assert!(b.sync(SYNC_TIMEOUT), "round {round}: B's barrier");
+            b_acked = b_sent;
+            assert_eq!(
+                mgr.stats.violations.load(Ordering::Relaxed),
+                a_sent + b_sent
+            );
+        }
+        mgr.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn shutdown_is_prompt_with_idle_peers_connected() {
+        use std::io::Read;
+        let path = temp_sock("idle-peers");
+        let mgr = LiveHostManager::builder()
+            .listen(ListenSpec::Sock(SockAddr::Uds(path)))
+            .spawn()
+            .expect("spawn socket manager");
+        let addr = mgr.local_addr().expect("bound");
+        let mut idle: Vec<SockStream> = (0..8)
+            .map(|_| SockStream::connect(&addr).expect("dial"))
+            .collect();
+        let _tap = TelemetryTap::connect(&addr, "idle-tap", true, true).expect("tap connects");
+        // The tap's handshake went through the loop after every dial, so
+        // every idle peer is accepted by now.
+        assert!(mgr.net_stats().unwrap().peers.load(Ordering::Relaxed) >= 9);
+        let t0 = Instant::now();
+        mgr.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "shutdown waited on idle peers"
+        );
+        // The manager closed them on its way out.
+        for s in &mut idle {
+            s.set_read_timeout(Some(SYNC_TIMEOUT)).unwrap();
+            assert_eq!(s.read(&mut [0u8; 16]).unwrap(), 0, "peer not closed");
+        }
     }
 }

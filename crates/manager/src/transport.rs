@@ -24,13 +24,12 @@
 //! knobs are re-exported from `qos-net`, where the epoll reactor driver
 //! shares them.
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Sender, TrySendError};
-use parking_lot::Mutex;
-use qos_net::ClientConn;
+use qos_net::{ClientConn, Waker};
 use qos_sim::{Ctx, Endpoint, Message, Port};
 use qos_wire::messages::{BatchMsg, TelemetryBatchMsg, TelemetrySubscribeMsg};
 use qos_wire::{FrameBuffer, WireBytes, WireError, WireMsg};
@@ -174,14 +173,14 @@ pub fn decode_ctrl(msg: &Message) -> Result<Option<WireMsg>, WireError> {
 // Live backends: what the manager thread consumes
 // ---------------------------------------------------------------------
 
-/// Where a live manager writes reply frames (sync acks) for a peer.
+/// Where a live manager writes reply frames (sync acks, telemetry
+/// batches) for a peer whose frames reach it through the inbound queue.
+/// (Socket peers served on the manager thread itself are answered
+/// through their own outbound queue, not through a sink.)
 #[derive(Clone)]
 pub enum ReplySink {
     /// In-proc peer: a bounded channel.
     Chan(Sender<Vec<u8>>),
-    /// Socket peer (thread-per-peer driver): the connection's write
-    /// half, shared with the acceptor's bookkeeping.
-    Sock(Arc<Mutex<SockStream>>),
     /// Socket peer (epoll reactor driver): frames enter the peer's
     /// bounded, classed outbound queue and a reactor worker writes them
     /// on readiness.
@@ -194,7 +193,7 @@ pub enum ReplySink {
 /// same frame later versus forget the peer entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SinkSend {
-    /// Delivered (or handed to the OS send buffer).
+    /// Delivered (or queued for the peer's socket).
     Sent,
     /// The peer's queue has no room right now; keep the frame and retry.
     Full,
@@ -207,7 +206,6 @@ impl ReplySink {
     pub fn send(&self, frame: &[u8]) -> bool {
         match self {
             ReplySink::Chan(tx) => tx.try_send(frame.to_vec()).is_ok(),
-            ReplySink::Sock(s) => s.lock().write_all(frame).is_ok(),
             // Control lane: a full queue is a drop here (sync acks are
             // re-requested by the peer's next barrier, never queued
             // indefinitely by the manager).
@@ -217,9 +215,7 @@ impl ReplySink {
     }
 
     /// Non-blocking delivery with a typed outcome, for senders that keep
-    /// per-peer queues (the manager's telemetry publisher). A blocking
-    /// socket write never reports `Full` — the OS buffer absorbs it or
-    /// the connection is dead.
+    /// per-peer queues (the manager's telemetry publisher).
     pub fn try_send_frame(&self, frame: &[u8]) -> SinkSend {
         match self {
             ReplySink::Chan(tx) => match tx.try_send(frame.to_vec()) {
@@ -227,13 +223,6 @@ impl ReplySink {
                 Err(TrySendError::Full(_)) => SinkSend::Full,
                 Err(TrySendError::Disconnected(_)) => SinkSend::Gone,
             },
-            ReplySink::Sock(s) => {
-                if s.lock().write_all(frame).is_ok() {
-                    SinkSend::Sent
-                } else {
-                    SinkSend::Gone
-                }
-            }
             // Telemetry lane: the reactor's bounded queue absorbs the
             // batch (evicting oldest under pressure — lossy by the
             // same contract as the manager's subscriber queues).
@@ -247,9 +236,9 @@ impl ReplySink {
     }
 }
 
-/// What arrives on a live manager's inbound queue. Reader threads split
-/// the byte stream into raw frames; the *decode* happens centrally in the
-/// manager thread so malformed frames are counted in one place.
+/// What arrives on a live manager's inbound queue from in-proc peers
+/// (and from reactor workers): complete frames whose *decode* happens
+/// in the manager thread, so malformed frames are counted in one place.
 pub enum Inbound {
     /// One complete frame (header validated, payload not yet decoded).
     Frame {
@@ -264,6 +253,48 @@ pub enum Inbound {
     /// Stop the manager thread. Only the owning handle sends this — a
     /// socket peer cannot shut the manager down.
     Shutdown,
+}
+
+/// The sending side of a live manager's inbound queue: every push also
+/// wakes the manager loop if it is about to block in `epoll_wait`.
+#[derive(Clone)]
+pub struct Inlet {
+    tx: Sender<Inbound>,
+    waker: Waker,
+}
+
+impl Inlet {
+    /// A queue sender plus the waker of the loop that drains it.
+    pub fn new(tx: Sender<Inbound>, waker: Waker) -> Self {
+        Inlet { tx, waker }
+    }
+
+    /// Push without blocking; `false` if the queue is full or closed.
+    pub fn try_send(&self, m: Inbound) -> bool {
+        let ok = self.tx.try_send(m).is_ok();
+        if ok {
+            self.waker.wake();
+        }
+        ok
+    }
+
+    /// Push, blocking while the queue is full; `false` if it is closed.
+    pub fn send(&self, m: Inbound) -> bool {
+        // (A loop never blocks while the queue holds anything, so a full
+        // queue needs no wake to drain.)
+        let ok = self.tx.send(m).is_ok();
+        if ok {
+            self.waker.wake();
+        }
+        ok
+    }
+}
+
+/// A bare queue sender (its consumer blocks on the queue itself).
+impl From<Sender<Inbound>> for Inlet {
+    fn from(tx: Sender<Inbound>) -> Self {
+        Inlet::new(tx, Waker::default())
+    }
 }
 
 /// A client-side carrier for management-plane frames. Implementations
@@ -302,25 +333,26 @@ pub trait WireTransport: Send {
 /// In-proc carrier: frames over a bounded crossbeam channel into the
 /// manager thread (the original live-mode transport, now frame-typed).
 pub struct ChannelTransport {
-    tx: Sender<Inbound>,
+    inlet: Inlet,
     next_token: u64,
 }
 
 impl ChannelTransport {
     /// Wrap a manager inbound queue.
-    pub fn new(tx: Sender<Inbound>) -> Self {
-        ChannelTransport { tx, next_token: 1 }
+    pub fn new(inlet: impl Into<Inlet>) -> Self {
+        ChannelTransport {
+            inlet: inlet.into(),
+            next_token: 1,
+        }
     }
 }
 
 impl WireTransport for ChannelTransport {
     fn try_send(&mut self, frame: &[u8]) -> bool {
-        self.tx
-            .try_send(Inbound::Frame {
-                bytes: frame.to_vec(),
-                reply: None,
-            })
-            .is_ok()
+        self.inlet.try_send(Inbound::Frame {
+            bytes: frame.to_vec(),
+            reply: None,
+        })
     }
 
     fn sync(&mut self, timeout: Duration) -> bool {
@@ -328,14 +360,10 @@ impl WireTransport for ChannelTransport {
         self.next_token += 1;
         let (ack_tx, ack_rx) = bounded(1);
         let req = WireMsg::SyncReq { token }.encode_frame();
-        if self
-            .tx
-            .send(Inbound::Frame {
-                bytes: req,
-                reply: Some(ReplySink::Chan(ack_tx)),
-            })
-            .is_err()
-        {
+        if !self.inlet.send(Inbound::Frame {
+            bytes: req,
+            reply: Some(ReplySink::Chan(ack_tx)),
+        }) {
             return false;
         }
         match ack_rx.recv_timeout(timeout) {
@@ -707,19 +735,31 @@ impl WireTransport for SocketTransport {
 // ---------------------------------------------------------------------
 
 /// A subscriber's end of the manager's telemetry stream: dial the
-/// manager, announce the subscription (`TelemetrySubscribe`), then pull
-/// decoded [`TelemetryBatchMsg`]es as they are published. Used by
-/// `qosctl tail` / `record`; deliberately pull-based and bounded so a
-/// slow consumer backs up into the manager's drop-oldest queue instead
-/// of into unbounded memory here.
+/// manager, subscribe, then pull decoded [`TelemetryBatchMsg`]es as they
+/// are published. Used by `qosctl tail` / `record`; deliberately
+/// pull-based and bounded so a slow consumer backs up into the
+/// manager's drop-oldest queue instead of into unbounded memory here.
 pub struct TelemetryTap {
     stream: SockStream,
     fb: FrameBuffer,
+    /// Batches that arrived before the subscribe handshake finished.
+    early: VecDeque<TelemetryBatchMsg>,
 }
 
+/// Sync token of the subscribe handshake (one per connection).
+const SUBSCRIBE_TOKEN: u64 = 1;
+
+/// Bytes asked of one tap `read`: a whole subscriber batch (a few KiB
+/// to a few tens of KiB) usually arrives in one call.
+const TAP_READ_CHUNK: usize = 64 * 1024;
+
 impl TelemetryTap {
-    /// Connect and subscribe. The manager starts publishing to this
-    /// connection on its next tick.
+    /// Connect and subscribe. Returns once the manager has acknowledged
+    /// the subscription: the `TelemetrySubscribe` is followed by a
+    /// `SyncReq` on the same connection, and the manager handles one
+    /// connection's frames in order, so the `SyncAck` proves every event
+    /// from then on reaches this tap. Errors with `TimedOut` if no ack
+    /// arrives within [`SYNC_TIMEOUT`](crate::live::SYNC_TIMEOUT).
     pub fn connect(
         addr: &SockAddr,
         subscriber: &str,
@@ -727,43 +767,76 @@ impl TelemetryTap {
         want_metrics: bool,
     ) -> io::Result<TelemetryTap> {
         let mut stream = SockStream::connect(addr)?;
-        let sub = WireMsg::TelemetrySubscribe(TelemetrySubscribeMsg {
+        let mut hello = WireMsg::TelemetrySubscribe(TelemetrySubscribeMsg {
             subscriber: subscriber.to_string(),
             want_events,
             want_metrics,
         })
         .encode_frame();
-        stream.write_all(&sub)?;
-        Ok(TelemetryTap {
+        WireMsg::SyncReq {
+            token: SUBSCRIBE_TOKEN,
+        }
+        .encode_frame_into(&mut hello);
+        stream.write_all(&hello)?;
+        let mut tap = TelemetryTap {
             stream,
             fb: FrameBuffer::new(),
-        })
+            early: VecDeque::new(),
+        };
+        let deadline = Instant::now() + crate::live::SYNC_TIMEOUT;
+        loop {
+            match tap.next_msg(deadline)? {
+                Some(WireMsg::SyncAck {
+                    token: SUBSCRIBE_TOKEN,
+                }) => return Ok(tap),
+                Some(WireMsg::TelemetryBatch(b)) => tap.early.push_back(b),
+                Some(_) => {}
+                None => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "manager never acknowledged the subscription",
+                    ))
+                }
+            }
+        }
     }
 
     /// The next batch, waiting at most `timeout`. `Ok(None)` means
     /// nothing arrived in time (the stream is still healthy); `Err`
     /// means the manager closed the connection or the stream corrupted.
     pub fn next_batch(&mut self, timeout: Duration) -> io::Result<Option<TelemetryBatchMsg>> {
+        if let Some(b) = self.early.pop_front() {
+            return Ok(Some(b));
+        }
         let deadline = Instant::now() + timeout;
-        let mut chunk = [0u8; 4096];
         loop {
-            loop {
-                match self.fb.next() {
-                    Ok(Some(WireMsg::TelemetryBatch(b))) => return Ok(Some(b)),
-                    // Acks and other push kinds may share the stream.
-                    Ok(Some(_)) => continue,
-                    Ok(None) => break,
-                    Err(e) => return Err(io::Error::other(format!("stream corrupt: {e}"))),
-                }
+            match self.next_msg(deadline)? {
+                Some(WireMsg::TelemetryBatch(b)) => return Ok(Some(b)),
+                // Acks and other push kinds may share the stream.
+                Some(_) => {}
+                None => return Ok(None),
+            }
+        }
+    }
+
+    /// The next message of any kind, or `None` once `deadline` passes.
+    fn next_msg(&mut self, deadline: Instant) -> io::Result<Option<WireMsg>> {
+        loop {
+            if let Some(m) = self
+                .fb
+                .next()
+                .map_err(|e| io::Error::other(format!("stream corrupt: {e}")))?
+            {
+                return Ok(Some(m));
             }
             let now = Instant::now();
             if now >= deadline {
                 return Ok(None);
             }
             self.stream.set_read_timeout(Some(deadline - now))?;
-            match self.stream.read(&mut chunk) {
+            match self.fb.read_from(&mut self.stream, TAP_READ_CHUNK) {
                 Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => self.fb.extend(&chunk[..n]),
+                Ok(_) => {}
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>

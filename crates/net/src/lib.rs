@@ -7,8 +7,9 @@
 //! The machines are pure — bytes in, bytes out, explicit `Instant`s for
 //! every timer decision, no syscalls — so the same logic runs under:
 //!
-//! * the blocking **thread-per-peer** driver (kept for sim parity and
-//!   non-Linux hosts) in `qos-manager`,
+//! * the **inline** epoll loop ([`inline`], Linux only): one thread —
+//!   the live host manager's own — polls the listener and every peer
+//!   and handles each frame where it is read, with no hand-off,
 //! * the hand-rolled **epoll reactor** ([`reactor`], Linux only): all
 //!   accepted peers on a small worker pool, per-peer bounded write
 //!   queues with drop-oldest telemetry backpressure, EPOLLOUT-driven
@@ -26,9 +27,14 @@
 //!   reassembly) and [`PeerOutQueue`] (classed, bounded outbound queue);
 //! * [`client`] — [`ClientConn`], the dialing half: greeting replay,
 //!   backoff reconnect scheduling, and `FlushPolicy` write coalescing;
+//! * [`turn`] — the IO half of a peer turn (budgeted read, write
+//!   drain), shared by both epoll drivers;
+//! * [`wake`] — wake a polling thread from others, only when it is
+//!   about to block;
 //! * [`sys`] — a thin raw-FFI epoll surface (Linux only, no `libc`
 //!   crate — the workspace is hermetic);
-//! * [`reactor`] — the epoll driver itself (Linux only).
+//! * [`reactor`] — the multi-worker epoll driver (Linux only);
+//! * [`inline`] — the single-thread epoll driver (Linux only).
 
 #![warn(missing_docs)]
 
@@ -36,6 +42,8 @@ pub mod client;
 pub mod peer;
 pub mod policy;
 pub mod sock;
+pub mod turn;
+pub mod wake;
 
 #[cfg(target_os = "linux")]
 pub mod sys;
@@ -43,10 +51,17 @@ pub mod sys;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 
+#[cfg(target_os = "linux")]
+pub mod inline;
+
 pub use client::{ClientConn, FlushBatch};
 pub use peer::{Enqueue, OutQueueConfig, PeerOutQueue, PeerReader, SendClass};
 pub use policy::{Backoff, FlushPolicy, ReconnectPolicy};
 pub use sock::{SockAddr, SockListener, SockStream};
+pub use wake::Waker;
+
+#[cfg(target_os = "linux")]
+pub use inline::{FrameHandler, InlineNet};
 
 #[cfg(target_os = "linux")]
 pub use reactor::{EventSink, NetStats, PeerSend, PeerSender, ReactorConfig, ReactorHandle};

@@ -11,12 +11,12 @@
 //!   bound — the reactor twin of the manager's per-subscriber
 //!   drop-oldest queue.
 //!
-//! Neither type performs IO: the thread-per-peer driver wraps
-//! [`PeerReader`] around blocking reads, the epoll reactor wraps both
-//! around non-blocking reads/writes, and tests drive them with plain
-//! slices.
+//! Neither type performs IO: [`crate::turn`] wraps both around
+//! non-blocking reads and writes for the two epoll drivers, and tests
+//! drive them with plain slices.
 
 use std::collections::VecDeque;
+use std::io::{self, Read};
 
 use qos_wire::{FrameBuffer, WireError};
 
@@ -38,11 +38,23 @@ impl PeerReader {
         self.fb.extend(chunk);
     }
 
+    /// One `read` of at most `max` bytes from `r` straight into the
+    /// reassembly buffer.
+    pub fn read_from<R: Read>(&mut self, r: &mut R, max: usize) -> io::Result<usize> {
+        self.fb.read_from(r, max)
+    }
+
     /// The next complete raw frame (header validated, payload not yet
     /// decoded), if one is buffered. An `Err` means the stream is
     /// corrupt beyond reframing — the driver must drop the connection.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        let r = self.fb.next_raw();
+        Ok(self.next_frame_ref()?.map(<[u8]>::to_vec))
+    }
+
+    /// [`PeerReader::next_frame`] borrowed from the reassembly buffer:
+    /// a driver that handles each frame where it is read copies nothing.
+    pub fn next_frame_ref(&mut self) -> Result<Option<&[u8]>, WireError> {
+        let r = self.fb.next_raw_ref();
         if let Ok(Some(_)) = r {
             self.frames += 1;
         }

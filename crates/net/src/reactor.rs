@@ -52,11 +52,12 @@ use qos_telemetry::{Counter, Gauge, Telemetry};
 use crate::peer::{Enqueue, OutQueueConfig, PeerOutQueue, PeerReader, SendClass};
 use crate::sock::{SockListener, SockStream};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
+use crate::turn::{read_turn, write_turn, ReadEnd, WriteEnd};
 
 /// Registration token for the wake pipe's read end.
-const TOKEN_WAKE: u64 = u64::MAX;
+pub(crate) const TOKEN_WAKE: u64 = u64::MAX;
 /// Registration token for the listener.
-const TOKEN_LISTENER: u64 = u64::MAX - 1;
+pub(crate) const TOKEN_LISTENER: u64 = u64::MAX - 1;
 
 /// Where the reactor delivers protocol input. Implementations must be
 /// cheap to call from worker threads; blocking (e.g. on a bounded
@@ -550,41 +551,21 @@ fn run_turn(shared: &Arc<Shared>, slot: &Arc<Slot>) {
     let mut more = false;
 
     // --- write drain: until empty or WouldBlock ----------------------
-    {
+    let written = {
         let mut out = slot.out.lock();
         let mut stream = slot.stream.lock();
-        while let Some(chunk) = out.write_chunk() {
-            if qos_buggify::buggify!("net.write.wouldblock") {
-                // Chaos: pretend the kernel buffer is full — the frame
-                // stays queued and EPOLLOUT must finish the job.
-                shared
-                    .stats
-                    .backpressure_stalls
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.gauges.stalls.inc();
-                break;
-            }
-            match stream.write(chunk) {
-                Ok(0) => {
-                    closed = true;
-                    break;
-                }
-                Ok(n) => out.advance(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    shared
-                        .stats
-                        .backpressure_stalls
-                        .fetch_add(1, Ordering::Relaxed);
-                    shared.gauges.stalls.inc();
-                    break;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    closed = true;
-                    break;
-                }
-            }
+        write_turn(&mut stream, &mut out)
+    };
+    match written {
+        WriteEnd::Drained => {}
+        WriteEnd::Blocked => {
+            shared
+                .stats
+                .backpressure_stalls
+                .fetch_add(1, Ordering::Relaxed);
+            shared.gauges.stalls.inc();
         }
+        WriteEnd::Closed => closed = true,
     }
 
     // --- read up to the fairness budget ------------------------------
@@ -592,42 +573,15 @@ fn run_turn(shared: &Arc<Shared>, slot: &Arc<Slot>) {
     if !closed {
         let mut reader = slot.reader.lock();
         let mut stream = slot.stream.lock();
-        let mut budget = shared.cfg.read_budget;
-        let mut buf = [0u8; 8192];
-        loop {
-            if budget == 0 {
-                more = true;
-                break;
-            }
-            match stream.read(&mut buf) {
-                Ok(0) => {
-                    closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    budget = budget.saturating_sub(n);
-                    reader.on_bytes(&buf[..n]);
-                    loop {
-                        match reader.next_frame() {
-                            Ok(Some(f)) => frames.push(f),
-                            Ok(None) => break,
-                            Err(_) => {
-                                corrupt = true;
-                                closed = true;
-                                break;
-                            }
-                        }
-                    }
-                    if closed {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    closed = true;
-                    break;
-                }
+        match read_turn(&mut stream, &mut reader, shared.cfg.read_budget, |f| {
+            frames.push(f.to_vec())
+        }) {
+            ReadEnd::Idle => {}
+            ReadEnd::More => more = true,
+            ReadEnd::Closed => closed = true,
+            ReadEnd::Corrupt => {
+                corrupt = true;
+                closed = true;
             }
         }
     }

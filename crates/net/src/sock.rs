@@ -62,9 +62,8 @@ impl SockStream {
         }
     }
 
-    /// Toggle non-blocking mode (the reactor drives every peer
-    /// non-blocking; the thread-per-peer driver leaves streams
-    /// blocking).
+    /// Toggle non-blocking mode (both epoll drivers run every accepted
+    /// peer non-blocking; client transports stay blocking).
     pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {
         match self {
             SockStream::Tcp(s) => s.set_nonblocking(on),

@@ -20,6 +20,9 @@ pub const EPOLLHUP: u32 = 0x010;
 /// still queued generates no further wakeups.
 pub const EPOLLONESHOT: u32 = 1 << 30;
 
+const SOL_SOCKET: c_int = 1;
+const SO_SNDBUF: c_int = 7;
+
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
@@ -43,6 +46,33 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
+    fn setsockopt(
+        fd: c_int,
+        level: c_int,
+        name: c_int,
+        value: *const std::ffi::c_void,
+        len: u32,
+    ) -> c_int;
+}
+
+/// Ask for a socket send buffer of `bytes` (`SO_SNDBUF`; the kernel
+/// caps it at `net.core.wmem_max` and doubles it for bookkeeping).
+pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
+    let v = bytes.min(c_int::MAX as usize) as c_int;
+    // SAFETY: `v` outlives the call and `len` is its exact size.
+    let rc = unsafe {
+        setsockopt(
+            fd,
+            SOL_SOCKET,
+            SO_SNDBUF,
+            &v as *const c_int as *const std::ffi::c_void,
+            std::mem::size_of::<c_int>() as u32,
+        )
+    };
+    if rc < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
 }
 
 /// A safe owner of one epoll instance.

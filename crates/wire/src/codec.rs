@@ -32,6 +32,11 @@ impl WireWriter {
         WireWriter { buf: Vec::new() }
     }
 
+    /// A writer that appends to `buf` (reusing its allocation).
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        WireWriter { buf }
+    }
+
     /// Bytes written so far.
     #[inline]
     pub fn len(&self) -> usize {

@@ -16,6 +16,7 @@
 //! distinct [`WireError`], and the payload must be consumed *exactly* —
 //! a length/body mismatch is corruption, not slack.
 
+use std::io::{self, Read};
 use std::sync::Arc;
 
 use crate::codec::{WireReader, WireWriter};
@@ -40,7 +41,16 @@ pub const MAX_FRAME_LEN: u32 = 1 << 20;
 impl WireMsg {
     /// Encode this message as a complete frame (header + payload).
     pub fn encode_frame(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let mut out = Vec::new();
+        self.encode_frame_into(&mut out);
+        out
+    }
+
+    /// Append this message's frame to `out` — the allocation-free twin
+    /// of [`WireMsg::encode_frame`] for senders that reuse one buffer.
+    pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
+        let mut w = WireWriter::from_vec(std::mem::take(out));
+        let start = w.len();
         w.put_raw(&MAGIC);
         w.put_u8(VERSION);
         w.put_u8(self.kind());
@@ -48,8 +58,8 @@ impl WireMsg {
         let body_start = w.len();
         self.encode_body(&mut w);
         let body_len = (w.len() - body_start) as u32;
-        w.patch_u32(4, body_len);
-        w.into_vec()
+        w.patch_u32(start + 4, body_len);
+        *out = w.into_vec();
     }
 
     /// Decode one complete frame. Rejects bad magic, unknown versions and
@@ -136,9 +146,17 @@ impl WireBytes {
 
 /// Reassembles frames from a byte stream (TCP / Unix-domain socket reads
 /// arrive in arbitrary chunks). Feed it bytes; pull complete frames.
+///
+/// Consumed frames only advance a read offset; the buffer is compacted
+/// when new bytes need the room, so popping a frame never shifts the
+/// bytes behind it.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// Start of the unconsumed bytes.
+    head: usize,
+    /// End of the valid bytes (`buf` past it is spare, zeroed room).
+    end: usize,
 }
 
 impl FrameBuffer {
@@ -149,31 +167,64 @@ impl FrameBuffer {
 
     /// Append bytes read from the stream.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.reserve(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One `read` from `r` of at most `max` bytes straight into the
+    /// buffer (no intermediate copy). Returns what `read` returned.
+    pub fn read_from<R: Read>(&mut self, r: &mut R, max: usize) -> io::Result<usize> {
+        self.reserve(max);
+        let n = r.read(&mut self.buf[self.end..self.end + max])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Make room for `n` more bytes after `end`: reclaim consumed space
+    /// first, grow only when that is not enough.
+    fn reserve(&mut self, n: usize) {
+        if self.buf.len() - self.end >= n {
+            return;
+        }
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.end, 0);
+            self.end -= self.head;
+            self.head = 0;
+        }
+        if self.buf.len() - self.end < n {
+            self.buf.resize(self.end + n, 0);
+        }
     }
 
     /// Bytes currently buffered (complete or partial frames).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.end - self.head
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.head == self.end
     }
 
-    /// Pop the next complete frame as raw bytes (header included),
-    /// validating only the header. `Ok(None)` means more bytes are
-    /// needed; an error means the stream is corrupt and the connection
-    /// should be dropped (there is no way to resynchronise a
+    /// Pop the next complete frame as a borrow of the buffer (header
+    /// included), validating only the header. `Ok(None)` means more
+    /// bytes are needed; an error means the stream is corrupt and the
+    /// connection should be dropped (there is no way to resynchronise a
     /// length-prefixed stream after a bad header).
-    pub fn next_raw(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        match split_frame(&self.buf) {
+    pub fn next_raw_ref(&mut self) -> Result<Option<&[u8]>, WireError> {
+        match split_frame(&self.buf[self.head..self.end]) {
             Ok((_, payload)) => {
-                let total = HEADER_LEN + payload.len();
-                let frame = self.buf[..total].to_vec();
-                self.buf.drain(..total);
-                Ok(Some(frame))
+                let at = self.head;
+                self.head += HEADER_LEN + payload.len();
+                if self.head == self.end {
+                    // Drained: the next read starts at the front again.
+                    let frame = at..self.head;
+                    self.head = 0;
+                    self.end = 0;
+                    return Ok(Some(&self.buf[frame]));
+                }
+                Ok(Some(&self.buf[at..self.head]))
             }
             Err(WireError::Truncated { .. }) => Ok(None),
             Err(e) => Err(e),
@@ -185,8 +236,8 @@ impl FrameBuffer {
     /// `None` means "not yet", not "exhausted".)
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<WireMsg>, WireError> {
-        match self.next_raw()? {
-            Some(frame) => Ok(Some(WireMsg::decode_frame(&frame)?)),
+        match self.next_raw_ref()? {
+            Some(frame) => Ok(Some(WireMsg::decode_frame(frame)?)),
             None => Ok(None),
         }
     }
@@ -292,6 +343,30 @@ mod tests {
         assert_eq!(fb.next().unwrap(), Some(WireMsg::Bye));
         assert_eq!(fb.next().unwrap(), None);
         assert!(fb.is_empty());
+    }
+
+    #[test]
+    fn buffer_reads_in_place_and_reuses_consumed_room() {
+        let a = sample().encode_frame();
+        let b = WireMsg::Bye.encode_frame();
+        let mut stream: Vec<u8> = Vec::new();
+        for _ in 0..20 {
+            stream.extend_from_slice(&a);
+            stream.extend_from_slice(&b);
+        }
+        let mut src = stream.as_slice();
+        let mut fb = FrameBuffer::new();
+        let mut got = Vec::new();
+        // Odd-sized reads split frames everywhere; popping between reads
+        // lets the buffer compact instead of growing.
+        while fb.read_from(&mut src, 7).unwrap() > 0 {
+            while let Some(f) = fb.next_raw_ref().unwrap() {
+                got.extend_from_slice(f);
+            }
+        }
+        assert_eq!(got, stream);
+        assert!(fb.is_empty());
+        assert!(fb.buf.len() <= 2 * a.len(), "consumed room is reused");
     }
 
     #[test]

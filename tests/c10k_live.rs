@@ -1,13 +1,11 @@
 //! C10k soak of the live plane's epoll reactor driver: a four-digit
-//! peer count the thread-per-peer driver cannot hold, served on a
-//! ≤ 4-thread worker pool, with an *exact* message ledger (everything a
-//! peer sent or knowingly dropped is accounted for — nothing vanishes
-//! untracked), fps-violation recovery under a buggify chaos schedule,
-//! and a threads-vs-reactor rule-firing trace-equality gate at a
-//! smaller peer count.
+//! peer count served on a ≤ 4-thread worker pool, with an *exact*
+//! message ledger (everything a peer sent or knowingly dropped is
+//! accounted for — nothing vanishes untracked), fps-violation recovery
+//! under a buggify chaos schedule, and an inline-vs-reactor rule-firing
+//! trace-equality gate at a smaller peer count.
 //!
-//! Linux-only: the reactor is raw epoll. The same protocol machines run
-//! under the thread driver on other platforms (`tests/socket_live.rs`).
+//! Linux-only: both socket drivers are raw epoll.
 #![cfg(target_os = "linux")]
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -307,13 +305,13 @@ fn fps_reporting_recovers_under_a_reactor_chaos_schedule() {
     mgr.shutdown();
 }
 
-/// Run `peers` raw reactor/thread peers through an identical serialized
+/// Run `peers` raw socket peers through an identical serialized
 /// workload and capture the rule-firing trace: (violations, rules
 /// fired, sorted per-correlation lifecycle stage chains).
 fn run_trace(driver: Driver, peers: usize) -> (u64, u64, Vec<(String, Vec<Stage>)>) {
     let t = Telemetry::enabled();
     let path = temp_sock(match driver {
-        Driver::Threads => "trace-threads",
+        Driver::Inline => "trace-inline",
         Driver::Reactor => "trace-reactor",
     });
     let _ = std::fs::remove_file(&path);
@@ -367,12 +365,12 @@ fn run_trace(driver: Driver, peers: usize) -> (u64, u64, Vec<(String, Vec<Stage>
 /// machines, same manager core — so at equal workloads they must
 /// produce identical traces, stage for stage.
 #[test]
-fn threads_and_reactor_drivers_produce_identical_traces() {
-    let threads = run_trace(Driver::Threads, 16);
+fn inline_and_reactor_drivers_produce_identical_traces() {
+    let inline = run_trace(Driver::Inline, 16);
     let reactor = run_trace(Driver::Reactor, 16);
-    assert_eq!(threads.0, reactor.0, "violation counts diverged");
-    assert_eq!(threads.1, reactor.1, "rule firings diverged");
-    assert_eq!(threads.2, reactor.2, "lifecycle chains diverged");
+    assert_eq!(inline.0, reactor.0, "violation counts diverged");
+    assert_eq!(inline.1, reactor.1, "rule firings diverged");
+    assert_eq!(inline.2, reactor.2, "lifecycle chains diverged");
     if Telemetry::enabled().is_enabled() {
         assert!(!reactor.2.is_empty(), "lifecycles must be observed");
     }
